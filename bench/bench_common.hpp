@@ -67,9 +67,6 @@ inline obs::timeline::CounterSample htm_counter_sample() {
   c.storm_exits = s.storm_exits;
   c.lock_recoveries = s.lock_recoveries;
   c.orphans_reaped = s.orphans_reaped;
-  c.sig_validations = s.sig_validations;
-  c.sig_false_aborts = s.sig_false_aborts;
-  c.sig_ring_overflows = s.sig_ring_overflows;
   // Pool counters ride the same sample so memory-pressure onsets land on
   // the same timeline axis as commits/aborts (all monotone; os_bytes never
   // shrinks by construction — the never-unmapping contract).
@@ -94,9 +91,6 @@ inline obs::timeline::CounterSample htm_counter_sample() {
 //                 latency timing) and writes PATH at the end;
 //   --hist        opens only the latency-timing switch;
 //   --clock P     selects the global-clock policy before any worker starts;
-//   --retry P     selects the retry policy (cause-aware vs fixed-threshold);
-//   --validate M  selects the conflict-validation backend (exact walk vs
-//                 Bloom signatures + commit ring) before any worker starts;
 //   --fault-rate  arms the spurious-abort injector before any worker starts;
 //   --crash-rate  arms the thread-death injector before any worker starts
 //                 (worker bodies must run under crash::run_victim to opt in);
@@ -126,24 +120,6 @@ class ObsSession {
         std::exit(2);
       }
       htm::config().clock_policy = policy;
-    }
-    if (!opts_.retry.empty()) {
-      htm::RetryPolicy policy = htm::config().retry_policy;
-      if (!htm::parse_retry_policy(opts_.retry.c_str(), policy)) {
-        std::fprintf(stderr, "--retry: unknown policy '%s' (cause|fixed)\n",
-                     opts_.retry.c_str());
-        std::exit(2);
-      }
-      htm::config().retry_policy = policy;
-    }
-    if (!opts_.validate.empty()) {
-      htm::ValidationPolicy policy = htm::config().validation;
-      if (!htm::parse_validation_policy(opts_.validate.c_str(), policy)) {
-        std::fprintf(stderr, "--validate: unknown backend '%s' (exact|sig)\n",
-                     opts_.validate.c_str());
-        std::exit(2);
-      }
-      htm::config().validation = policy;
     }
     if (opts_.fault_rate >= 0.0) {
       htm::config().fault.rate = opts_.fault_rate > 1.0 ? 1.0
@@ -243,10 +219,6 @@ inline sim::Options extract_obs_options(int& argc, char** argv) {
       opts.trace_path = argv[++i];
     } else if (arg == "--clock" && i + 1 < argc) {
       opts.clock = argv[++i];
-    } else if (arg == "--retry" && i + 1 < argc) {
-      opts.retry = argv[++i];
-    } else if (arg == "--validate" && i + 1 < argc) {
-      opts.validate = argv[++i];
     } else if (arg == "--fault-rate" && i + 1 < argc) {
       opts.fault_rate = std::atof(argv[++i]);
     } else if (arg == "--crash-rate" && i + 1 < argc) {
@@ -314,25 +286,13 @@ inline void print_htm_diagnostics() {
       static_cast<unsigned long long>(s.max_read_set),
       static_cast<unsigned long long>(s.max_write_set));
   std::printf(
-      "[htm] retry=%s faults-injected=%llu tle-entries=%llu "
+      "[htm] faults-injected=%llu tle-entries=%llu "
       "storm-enter/exit=%llu/%llu max-consec-aborts=%llu\n",
-      htm::to_string(htm::config().retry_policy),
       static_cast<unsigned long long>(s.faults_injected),
       static_cast<unsigned long long>(s.tle_entries),
       static_cast<unsigned long long>(s.storm_entries),
       static_cast<unsigned long long>(s.storm_exits),
       static_cast<unsigned long long>(s.max_consec_aborts));
-  if (htm::config().validation == htm::ValidationPolicy::kSignature ||
-      s.sig_validations != 0 || s.sig_false_aborts != 0 ||
-      s.sig_ring_overflows != 0) {
-    std::printf(
-        "[htm] validation=%s sig-validations=%llu sig-false-aborts=%llu "
-        "sig-ring-overflows=%llu\n",
-        htm::to_string(htm::config().validation),
-        static_cast<unsigned long long>(s.sig_validations),
-        static_cast<unsigned long long>(s.sig_false_aborts),
-        static_cast<unsigned long long>(s.sig_ring_overflows));
-  }
   if (s.crashes_injected != 0 || s.lock_recoveries != 0 ||
       s.orphans_reaped != 0) {
     std::printf(
@@ -444,7 +404,7 @@ inline void write_json_cell(std::FILE* f, const std::string& cell) {
 }
 
 // Emits a CounterSample as the body of a JSON object (no braces): the same
-// twenty-four keys for the baseline and for every window's deltas, so
+// twenty-one keys for the baseline and for every window's deltas, so
 // validators can difference them uniformly. The two service-tier keys are
 // all-zero outside service runs (validator-enforced against the presence
 // of the "service" section); the memory-tier keys are all-zero unless a
@@ -460,9 +420,7 @@ inline void write_counter_fields(std::FILE* f,
       "\"tle_entries\": %llu, \"faults_injected\": %llu, "
       "\"crashes_injected\": %llu, \"storm_entries\": %llu, "
       "\"storm_exits\": %llu, \"lock_recoveries\": %llu, "
-      "\"orphans_reaped\": %llu, \"sig_validations\": %llu, "
-      "\"sig_false_aborts\": %llu, \"sig_ring_overflows\": %llu, "
-      "\"sessions_shed\": %llu, \"chaos_phases\": %llu, "
+      "\"orphans_reaped\": %llu, \"sessions_shed\": %llu, \"chaos_phases\": %llu, "
       "\"pool_allocations\": %llu, \"pool_deallocations\": %llu, "
       "\"pool_os_bytes\": %llu, \"alloc_failures\": %llu, "
       "\"alloc_faults_injected\": %llu, \"pool_caches_reaped\": %llu, "
@@ -478,9 +436,6 @@ inline void write_counter_fields(std::FILE* f,
       static_cast<unsigned long long>(c.storm_exits),
       static_cast<unsigned long long>(c.lock_recoveries),
       static_cast<unsigned long long>(c.orphans_reaped),
-      static_cast<unsigned long long>(c.sig_validations),
-      static_cast<unsigned long long>(c.sig_false_aborts),
-      static_cast<unsigned long long>(c.sig_ring_overflows),
       static_cast<unsigned long long>(c.sessions_shed),
       static_cast<unsigned long long>(c.chaos_phases),
       static_cast<unsigned long long>(c.pool_allocations),
@@ -709,6 +664,10 @@ inline void write_timeline_section(std::FILE* f) {
 //      service section's shed_mem/oom counters and its v9 conservation laws
 //      (generated == accepted + shed + shed_mem; accepted == completed +
 //      killed + oom), and the mem-squeeze chaos phase kind
+//  10  drops what schema 4 and 6 added for the since-removed retry and
+//      validation policies: options.retry, options.validation,
+//      retry.policy, the three htm.sig_* counters (also gone from every
+//      counter block) and the sig_saturation annotation kind
 //
 // `extra_section` (may be null) is invoked where optional sections live —
 // after the timeline section, before "columns" — and must emit either
@@ -729,15 +688,14 @@ inline void write_json_report(
     std::strftime(stamp, sizeof(stamp), "%Y-%m-%dT%H:%M:%SZ", &tmv);
   }
   std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema_version\": 9,\n");
+  std::fprintf(f, "  \"schema_version\": 10,\n");
   std::fprintf(f, "  \"bench\": \"%s\",\n",
                detail::json_escape(bench_name).c_str());
   std::fprintf(f, "  \"generated_utc\": \"%s\",\n", stamp);
   std::fprintf(f,
                "  \"options\": {\"duration_ms\": %g, \"repeats\": %d, "
                "\"max_threads\": %u, \"hist\": %s, \"trace\": %s, "
-               "\"clock\": \"%s\", \"retry\": \"%s\", \"validation\": \"%s\", "
-               "\"fault_rate\": %g, \"crash_rate\": %g, "
+               "\"clock\": \"%s\", \"fault_rate\": %g, \"crash_rate\": %g, "
                "\"mem_limit\": %llu, \"alloc_fault_rate\": %g, "
                "\"sample_interval_ms\": %g, \"slo\": \"%s\", "
                "\"slo_observe\": %s},\n",
@@ -745,8 +703,6 @@ inline void write_json_report(
                opts.hist ? "true" : "false",
                opts.trace_path.empty() ? "false" : "true",
                htm::to_string(htm::config().clock_policy),
-               htm::to_string(htm::config().retry_policy),
-               htm::to_string(htm::config().validation),
                htm::config().fault.rate, htm::config().crash.rate,
                static_cast<unsigned long long>(
                    htm::config().mem.limit_bytes),
@@ -768,9 +724,7 @@ inline void write_json_report(
       "\"storm_entries\": %llu, \"storm_exits\": %llu, "
       "\"max_consec_aborts\": %llu, "
       "\"crashes_injected\": %llu, \"lock_recoveries\": %llu, "
-      "\"orphans_reaped\": %llu, "
-      "\"sig_validations\": %llu, \"sig_false_aborts\": %llu, "
-      "\"sig_ring_overflows\": %llu,\n"
+      "\"orphans_reaped\": %llu,\n"
       "    \"aborts_by_code\": {",
       static_cast<unsigned long long>(s.commits),
       static_cast<unsigned long long>(s.aborts), s.abort_rate(),
@@ -791,10 +745,7 @@ inline void write_json_report(
       static_cast<unsigned long long>(s.max_consec_aborts),
       static_cast<unsigned long long>(s.crashes_injected),
       static_cast<unsigned long long>(s.lock_recoveries),
-      static_cast<unsigned long long>(s.orphans_reaped),
-      static_cast<unsigned long long>(s.sig_validations),
-      static_cast<unsigned long long>(s.sig_false_aborts),
-      static_cast<unsigned long long>(s.sig_ring_overflows));
+      static_cast<unsigned long long>(s.orphans_reaped));
   for (int c = 0; c < static_cast<int>(htm::AbortCode::kNumCodes); ++c) {
     std::fprintf(f, "%s\"%s\": %llu", c == 0 ? "" : ", ",
                  htm::to_string(static_cast<htm::AbortCode>(c)),
@@ -802,8 +753,7 @@ inline void write_json_report(
   }
   std::fprintf(f, "}},\n");
   // Per-cause retry depth: at which attempt index each abort cause struck.
-  std::fprintf(f, "  \"retry\": {\"policy\": \"%s\", \"by_cause\": {\n",
-               htm::to_string(htm::config().retry_policy));
+  std::fprintf(f, "  \"retry\": {\"by_cause\": {\n");
   for (std::size_t c = 0; c < obs::kNumRetryCauses; ++c) {
     const obs::RetrySummary rs = obs::summarize_retries(static_cast<uint8_t>(c));
     std::fprintf(f,

@@ -24,7 +24,7 @@
 #      (fault storm + worker kills + rate spike) against an unmeetable SLO
 #      that must exit 3 (violated) while the report still validates with
 #      finite recovery bookkeeping. Every report goes through
-#      validate_report.py --schema 9 with the matching --expect-* flags,
+#      validate_report.py --schema 10 with the matching --expect-* flags,
 #      which re-prove the session conservation laws offline.
 #   7. (--mem) memory-pressure smoke: runs bench_service three ways — an
 #      unbounded clean run where the validator's dormancy guard proves every
@@ -44,16 +44,9 @@
 #
 # Usage: scripts/check.sh [--skip-tsan] [--skip-asan] [--fault] [--crash]
 #                         [--service] [--mem] [--sched] [--clock gv1|gv5]
-#                         [--validate exact|sig]
 #
 # --clock pins the global-clock policy (DC_CLOCK) for every stage, so one
 # invocation verifies the whole suite under one policy; CI runs both.
-# --validate pins the conflict-validation backend (DC_VALIDATE) the same
-# way: `--validate sig` runs every stage with Bloom-signature validation
-# admitting commits, which is how the backend's zero-false-negative claim
-# gets exercised against the entire suite, not just its own tests. CI
-# crosses it with both clock policies (the ring stamps entries with
-# whatever the active clock produced).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -66,16 +59,10 @@ service=0
 mem=0
 sched=0
 clock=""
-validate=""
 prev=""
 for arg in "$@"; do
   if [[ "$prev" == "--clock" ]]; then
     clock="$arg"
-    prev=""
-    continue
-  fi
-  if [[ "$prev" == "--validate" ]]; then
-    validate="$arg"
     prev=""
     continue
   fi
@@ -88,8 +75,7 @@ for arg in "$@"; do
     --mem) mem=1 ;;
     --sched) sched=1 ;;
     --clock) prev="--clock" ;;
-    --validate) prev="--validate" ;;
-    *) echo "unknown option: $arg (supported: --skip-tsan --skip-asan --fault --crash --service --mem --sched --clock gv1|gv5 --validate exact|sig)" >&2; exit 2 ;;
+    *) echo "unknown option: $arg (supported: --skip-tsan --skip-asan --fault --crash --service --mem --sched --clock gv1|gv5)" >&2; exit 2 ;;
   esac
 done
 if [[ -n "$prev" ]]; then
@@ -100,12 +86,6 @@ if [[ -n "$clock" ]]; then
   case "$clock" in
     gv1|gv5) export DC_CLOCK="$clock"; echo "== clock policy pinned: DC_CLOCK=$clock ==" ;;
     *) echo "unknown clock policy: $clock (gv1|gv5)" >&2; exit 2 ;;
-  esac
-fi
-if [[ -n "$validate" ]]; then
-  case "$validate" in
-    exact|sig) export DC_VALIDATE="$validate"; echo "== validation backend pinned: DC_VALIDATE=$validate ==" ;;
-    *) echo "unknown validation backend: $validate (exact|sig)" >&2; exit 2 ;;
   esac
 fi
 
@@ -155,12 +135,13 @@ if [[ "$crash" == 1 ]]; then
   ./build/bench/bench_crash_recovery \
     --duration-ms 50 --repeats 2 --max-threads 4 \
     --crash-rate 0.05 --json crash-report.json
-  python3 scripts/validate_report.py crash-report.json --expect-crashes
+  python3 scripts/validate_report.py crash-report.json \
+    --schema 10 --expect-crashes
   echo "== bench_crash_recovery: clean run must keep every counter at 0 =="
   ./build/bench/bench_crash_recovery \
     --duration-ms 50 --repeats 2 --max-threads 4 \
     --crash-rate 0 --json crash-clean-report.json
-  python3 scripts/validate_report.py crash-clean-report.json
+  python3 scripts/validate_report.py crash-clean-report.json --schema 10
 fi
 
 if [[ "$service" == 1 ]]; then
@@ -169,7 +150,7 @@ if [[ "$service" == 1 ]]; then
     --arrival-rate 1000 --workers 2 --duration-ms 500 \
     --sample-interval 25 --json service-clean-report.json
   python3 scripts/validate_report.py service-clean-report.json \
-    --schema 9 --expect-service
+    --schema 10 --expect-service
   python3 - service-clean-report.json <<'EOF'
 import json, sys
 svc = json.load(open(sys.argv[1]))["service"]
@@ -180,7 +161,7 @@ EOF
     --arrival-rate 50000 --workers 2 --queue-capacity 16 --duration-ms 500 \
     --json service-shed-report.json
   python3 scripts/validate_report.py service-shed-report.json \
-    --schema 9 --expect-service --expect-shed
+    --schema 10 --expect-service --expect-shed
   echo "== service smoke: chaos run vs an unmeetable SLO must exit 3 =="
   # update_p999<1us is unattainable (a software-TM update alone costs more):
   # every window violates, the bench reports the breach via exit 3, and the
@@ -196,7 +177,7 @@ EOF
     exit 1
   fi
   python3 scripts/validate_report.py service-chaos-report.json \
-    --schema 9 --expect-service
+    --schema 10 --expect-service
   python3 - service-chaos-report.json <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -218,19 +199,19 @@ EOF
     --sample-interval 25 --slo "update_p999<2ms" --slo-observe \
     --chaos bench/chaos_service.txt --json service-recovery-report.json
   python3 scripts/validate_report.py service-recovery-report.json \
-    --schema 9 --expect-service --expect-chaos
+    --schema 10 --expect-service --expect-chaos
 fi
 
 if [[ "$mem" == 1 ]]; then
   echo "== mem smoke: unbounded clean run must keep every mem counter at 0 =="
-  # No bound, no injection: the validator's v9 dormancy guard fails the leg
+  # No bound, no injection: the validator's memory dormancy guard fails the leg
   # if any failure-path counter (alloc_failures, injected faults, pressure
   # onsets/exits, alloc-failed aborts) moved at all.
   ./build/bench/bench_service \
     --arrival-rate 1000 --workers 2 --duration-ms 500 \
     --sample-interval 25 --json mem-clean-report.json
   python3 scripts/validate_report.py mem-clean-report.json \
-    --schema 9 --expect-service
+    --schema 10 --expect-service
   python3 - mem-clean-report.json <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -248,7 +229,7 @@ EOF
     --alloc-fault-rate 0.05 \
     --sample-interval 25 --json mem-fault-report.json
   python3 scripts/validate_report.py mem-fault-report.json \
-    --schema 9 --expect-service --expect-alloc-faults
+    --schema 10 --expect-service --expect-alloc-faults
   python3 - mem-fault-report.json <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -270,7 +251,7 @@ EOF
     --sample-interval 25 --slo "update_p999<2ms" --slo-observe \
     --json mem-squeeze-report.json
   python3 scripts/validate_report.py mem-squeeze-report.json \
-    --schema 9 --expect-service --expect-mem-squeeze
+    --schema 10 --expect-service --expect-mem-squeeze
   python3 - mem-squeeze-report.json <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Validate a benchmark --json report (schema_version 4 through 9) and,
-optionally, a Chrome trace-event file produced by --trace.
+"""Validate a benchmark --json report (schema_version 10) and, optionally,
+a Chrome trace-event file produced by --trace.
 
 Usage: scripts/validate_report.py REPORT.json [TRACE.json] [--expect-events]
            [--expect-faults] [--expect-crashes] [--expect-storms]
@@ -9,103 +9,78 @@ Usage: scripts/validate_report.py REPORT.json [TRACE.json] [--expect-events]
            [--schema N]
 
 The C++ unit tests (tests/obs/export_schema_test.cpp) validate the same
-schemas in-process; this script is the out-of-process check CI runs against
+schema in-process; this script is the out-of-process check CI runs against
 a real benchmark binary's output, so a packaging or flushing bug that the
-in-process test cannot see still fails the pipeline. --expect-events makes
-an empty trace an error (used by the DC_TRACE=ON smoke leg);
---expect-faults makes htm.faults_injected == 0 an error (used by the fault
-smoke leg, which runs with --fault-rate > 0). Without --expect-faults and
-with options.fault_rate == 0 the validator enforces the converse: a run
-with injection off must report zero injected faults and zero spurious
-aborts. --expect-crashes (v5 reports only) makes all three of
-htm.crashes_injected / htm.lock_recoveries / htm.orphans_reaped == 0 an
-error (the crash smoke leg, which runs with --crash-rate > 0); without it
-and with options.crash_rate == 0 all three counters must be exactly zero —
-the zero-overhead guard that proves the injector is fully dormant on clean
-runs. v6 reports carry options.validation and the signature-validation
-counters htm.sig_validations / htm.sig_false_aborts /
-htm.sig_ring_overflows, which must all be exactly zero when validation is
-"exact" — the same dormancy guard applied to the signature backend.
+in-process test cannot see still fails the pipeline. Only schema 10 is
+accepted: no binary in the repository writes anything older. --schema N
+pins the exact version (CI legs assert the binary they just built emits
+the current one).
 
-v7 reports carry options.sample_interval_ms / options.slo and the split
-trace.requested / trace.enabled booleans. When sample_interval_ms > 0 a
-"timeline" section is REQUIRED and fully checked: window shape and quantile
-ordering, the annotation-kind whitelist, and — whenever nothing was dropped
-— exact conservation (baseline + window deltas telescope to the htm
-counters; per-kind annotation totals equal the matching cumulative counter
-minus its baseline). With sampling off the section must be ABSENT — the
-zero-overhead guard for the sampler. --expect-storms additionally requires
-at least one storm_onset annotation (the metrics smoke leg, which runs
-fault-injected); --expect-clean-timeline requires a timeline with zero
-annotations of every kind (the clean smoke leg). --schema N pins the exact
-schema_version (CI legs assert the binary they just built emits the
-current version, not merely something in the accepted range).
+Dormancy guards. With options.fault_rate == 0 (and no fault-storm chaos
+phase) a run must report zero injected faults and zero spurious aborts;
+--expect-faults instead requires htm.faults_injected > 0. With
+options.crash_rate == 0 (and no kill phase) htm.crashes_injected /
+htm.lock_recoveries / htm.orphans_reaped must be exactly zero;
+--expect-crashes instead requires all three > 0. --expect-events makes an
+empty trace an error (the DC_TRACE=ON smoke leg).
 
-v8 reports add options.slo_observe, the service-level timeline counters
-sessions_shed / chaos_phases (plus the shed_onset / chaos_phase annotation
-kinds), the SLO episode ledger (timeline.slo.reattainments and
-timeline.slo.episodes), and — for bench_service ONLY — a top-level
-"service" section. The validator re-proves the service harness's
-conservation laws offline: sessions_generated == sessions_accepted +
-sessions_shed and sessions_accepted == sessions_completed +
-sessions_killed (shedding is never silent, admitted sessions never
-vanish). The section must be present iff bench == "service"; on every
-other v8 report the timeline's service counters and their annotation
-kinds must be exactly zero — and when the section IS present they must
-telescope to the service totals, the same both-directions dormancy guard
-the fault/crash/signature layers get. --expect-service requires the
-section with nonzero traffic; --expect-shed requires sessions_shed > 0
-(the overload leg); --expect-chaos requires at least one fault-storm AND
-one kill phase survived with every worker death recovered (the chaos
-leg).
+Timeline. When options.sample_interval_ms > 0 a "timeline" section is
+REQUIRED and fully checked: window shape and quantile ordering, the
+annotation-kind whitelist, and — whenever nothing was dropped — exact
+conservation (baseline + window deltas telescope to the cumulative
+counters; per-kind annotation totals equal the matching counter minus its
+baseline). With sampling off the section must be ABSENT. --expect-storms
+requires at least one storm_onset annotation; --expect-clean-timeline
+requires zero annotations of every kind.
 
-v9 reports add the memory tier: options.mem_limit / options.alloc_fault_rate,
-the "alloc-failed" abort code and retry cause, nine memory counters in every
-timeline counter block, the mem_pressure_onset / mem_pressure_exit /
-mem_shed_onset / alloc_fault_burst annotation kinds, an always-present "mem"
-section, and the service section's sessions_shed_mem / sessions_oom with the
-widened conservation laws (generated == accepted + shed + shed_mem;
-accepted == completed + killed + oom). The mem section is conservation-
-checked offline: the per-thread ledgers sum to the global counters (two
-independently maintained ledgers a double free or stranded-cache miscount
-would split), allocations - deallocations == live_blocks, reaped <=
-stranded, injected faults <= failures. The dormancy guard runs both ways:
-with no capacity bound, no allocation-fault injection, no crash injection
-and no mem-squeeze chaos phase, every failure/pressure/stranding counter
-must be exactly zero and no mem_pressure_* annotation may appear;
---expect-alloc-faults requires injected faults > 0 (the injected leg) and
+Service. The "service" section must be present iff bench == "service".
+The validator re-proves the harness's conservation laws offline:
+generated == accepted + shed + shed_mem, accepted == completed + killed +
+oom, killed == worker_deaths. On every other report the timeline's service
+counters must be exactly zero. --expect-service requires the section with
+nonzero traffic; --expect-shed requires sessions_shed > 0; --expect-chaos
+requires at least one fault-storm AND one kill phase survived with every
+worker death recovered.
+
+Memory. The always-present "mem" section is conservation-checked: the
+per-thread ledgers sum to the global counters, allocations - deallocations
+== live_blocks, reaped <= stranded, injected faults <= failures. With no
+capacity bound, no allocation-fault injection, no crash injection and no
+mem-squeeze phase every failure/pressure/stranding counter must be zero;
+--expect-alloc-faults requires injected faults > 0 and
 --expect-mem-squeeze requires an applied mem-squeeze phase with at least
-one pressure onset AND a matching exit (the squeeze-recovery leg).
+one pressure onset AND a matching exit.
 """
 import json
 import sys
 
-SCHEMA_VERSION_MIN = 4
-SCHEMA_VERSION_MAX = 9
+SCHEMA_VERSION = 10
 
-OPS = ("register", "update", "deregister", "collect", "commit")
-OPS_V6 = OPS + ("validate",)
-SIG_KEYS = ("sig_validations", "sig_false_aborts", "sig_ring_overflows")
+OPS = ("register", "update", "deregister", "collect", "commit", "validate")
 ABORT_CODES = ("none", "conflict", "overflow", "explicit", "illegal-access",
-               "interrupt", "tlb-miss", "save-restore")
-ABORT_CODES_V9 = ABORT_CODES + ("alloc-failed",)
+               "interrupt", "tlb-miss", "save-restore", "alloc-failed")
 SPURIOUS_CODES = ("interrupt", "tlb-miss", "save-restore")
+CRASH_KEYS = ("crashes_injected", "lock_recoveries", "orphans_reaped")
+# Keys schema 10 dropped with the retry and validation policies; a report
+# that still carries one was written by a stale binary.
+REMOVED_OPTION_KEYS = ("retry", "validation")
+REMOVED_HTM_KEYS = ("sig_validations", "sig_false_aborts",
+                    "sig_ring_overflows")
 
 # Timeline vocabulary (obs/timeline.hpp). Annotation kinds map 1:1 onto the
-# cumulative counter their per-window values decompose. v8 widens both with
-# the service pair; those two counters live in the service section (or are
-# implicitly zero when the report is not from bench_service), not in htm.
-# v9 widens both again with the memory tier, whose cumulative references
-# live in the mem section (sessions_shed_mem in the service section).
-COUNTER_KEYS = ("commits", "aborts", "lock_fallbacks", "tle_entries",
-                "faults_injected", "crashes_injected", "storm_entries",
-                "storm_exits", "lock_recoveries", "orphans_reaped",
-                "sig_validations", "sig_false_aborts", "sig_ring_overflows")
+# cumulative counter their per-window values decompose. The htm counters
+# telescope to the htm section; the service pair to the service section
+# (implicitly zero when the report is not from bench_service); the memory
+# tier to the mem section (sessions_shed_mem to the service section).
+HTM_COUNTER_KEYS = ("commits", "aborts", "lock_fallbacks", "tle_entries",
+                    "faults_injected", "crashes_injected", "storm_entries",
+                    "storm_exits", "lock_recoveries", "orphans_reaped")
 SERVICE_COUNTER_KEYS = ("sessions_shed", "chaos_phases")
 MEM_COUNTER_KEYS = ("pool_allocations", "pool_deallocations", "pool_os_bytes",
                     "alloc_failures", "alloc_faults_injected",
                     "pool_caches_reaped", "mem_pressure_onsets",
                     "mem_pressure_exits", "sessions_shed_mem")
+COUNTER_KEYS = HTM_COUNTER_KEYS + SERVICE_COUNTER_KEYS + MEM_COUNTER_KEYS
 # timeline counter key -> mem section key it telescopes to.
 MEM_COUNTER_REF = {
     "pool_allocations": "allocations",
@@ -122,14 +97,9 @@ ANNOTATION_COUNTER = {
     "storm_exit": "storm_exits",
     "lock_recovery": "lock_recoveries",
     "orphan_reap": "orphans_reaped",
-    "sig_saturation": "sig_ring_overflows",
     "thread_crash": "crashes_injected",
-}
-SERVICE_ANNOTATION_COUNTER = {
     "shed_onset": "sessions_shed",
     "chaos_phase": "chaos_phases",
-}
-MEM_ANNOTATION_COUNTER = {
     "mem_pressure_onset": "mem_pressure_onsets",
     "mem_pressure_exit": "mem_pressure_exits",
     "mem_shed_onset": "sessions_shed_mem",
@@ -137,34 +107,7 @@ MEM_ANNOTATION_COUNTER = {
 }
 QUANTILE_KEYS = ("p50_ns", "p90_ns", "p99_ns", "p999_ns")
 SLO_QUANTILES = ("p50", "p90", "p99", "p999")
-CHAOS_KINDS = ("fault-storm", "kill", "rate-spike")
-CHAOS_KINDS_V9 = CHAOS_KINDS + ("mem-squeeze",)
-
-
-def abort_codes(version):
-    return ABORT_CODES_V9 if version >= 9 else ABORT_CODES
-
-
-def chaos_kinds(version):
-    return CHAOS_KINDS_V9 if version >= 9 else CHAOS_KINDS
-
-
-def counter_keys(version):
-    keys = COUNTER_KEYS
-    if version >= 8:
-        keys = keys + SERVICE_COUNTER_KEYS
-    if version >= 9:
-        keys = keys + MEM_COUNTER_KEYS
-    return keys
-
-
-def annotation_counter(version):
-    m = dict(ANNOTATION_COUNTER)
-    if version >= 8:
-        m.update(SERVICE_ANNOTATION_COUNTER)
-    if version >= 9:
-        m.update(MEM_ANNOTATION_COUNTER)
-    return m
+CHAOS_KINDS = ("fault-storm", "kill", "rate-spike", "mem-squeeze")
 
 
 def fail(msg):
@@ -177,8 +120,8 @@ def require(cond, msg):
         fail(msg)
 
 
-def validate_timeline(doc, version, expect_storms, expect_clean):
-    """Checks the v7+ timeline section against the report's own counters.
+def validate_timeline(doc, expect_storms, expect_clean):
+    """Checks the timeline section against the report's own counters.
 
     The section is an exact decomposition, not a sketch: when nothing was
     dropped, baseline + per-window deltas must telescope to the cumulative
@@ -187,25 +130,21 @@ def validate_timeline(doc, version, expect_storms, expect_clean):
     delta). Sampling skew is not tolerated because the sampler's final
     tick runs after the workers join (bench::report stops it first).
 
-    v8's service counters (sessions_shed, chaos_phases) have no htm
-    counterpart: they telescope to the service section's totals when the
-    report carries one, and to exactly zero otherwise — the dormancy
-    guard that proves non-service benchmarks never tick them."""
+    The service counters (sessions_shed, chaos_phases, sessions_shed_mem)
+    have no htm counterpart: they telescope to the service section's
+    totals when the report carries one, and to exactly zero otherwise —
+    the dormancy guard that proves non-service benchmarks never tick
+    them."""
     htm = doc["htm"]
-    keys = counter_keys(version)
-    ann_counter = annotation_counter(version)
+    keys = COUNTER_KEYS
+    ann_counter = ANNOTATION_COUNTER
     # The cumulative reference each counter must telescope to.
-    ref = {key: htm[key] for key in COUNTER_KEYS}
-    if version >= 8:
-        svc = doc.get("service")
-        ref["sessions_shed"] = svc["sessions_shed"] if svc else 0
-        ref["chaos_phases"] = svc["chaos_phases"] if svc else 0
-    if version >= 9:
-        mem = doc["mem"]
-        for tl_key, mem_key in MEM_COUNTER_REF.items():
-            ref[tl_key] = mem[mem_key]
-        svc = doc.get("service")
-        ref["sessions_shed_mem"] = svc["sessions_shed_mem"] if svc else 0
+    ref = {key: htm[key] for key in HTM_COUNTER_KEYS}
+    svc = doc.get("service")
+    for key in ("sessions_shed", "chaos_phases", "sessions_shed_mem"):
+        ref[key] = svc[key] if svc else 0
+    for tl_key, mem_key in MEM_COUNTER_REF.items():
+        ref[tl_key] = doc["mem"][mem_key]
     tl = doc.get("timeline")
     require(isinstance(tl, dict), "timeline must be an object")
     require(isinstance(tl.get("sample_interval_ms"), (int, float)) and
@@ -242,7 +181,7 @@ def validate_timeline(doc, version, expect_storms, expect_clean):
         ops = w.get("ops")
         require(isinstance(ops, dict), "window.ops")
         for op, entry in ops.items():
-            require(op in OPS_V6, f"window.ops has unknown op {op!r}")
+            require(op in OPS, f"window.ops has unknown op {op!r}")
             require(isinstance(entry, dict), f"window.ops.{op}")
             require(isinstance(entry.get("count"), int) and
                     entry["count"] > 0,
@@ -293,7 +232,7 @@ def validate_timeline(doc, version, expect_storms, expect_clean):
     require(isinstance(targets, list), "timeline.slo.targets")
     for t in targets:
         require(isinstance(t.get("spec"), str), "slo target.spec")
-        require(t.get("op") in OPS_V6, "slo target.op")
+        require(t.get("op") in OPS, "slo target.op")
         require(t.get("quantile") in SLO_QUANTILES, "slo target.quantile")
         for key in ("bound_ns", "worst_ns"):
             require(isinstance(t.get(key), (int, float)), f"slo target.{key}")
@@ -304,34 +243,31 @@ def validate_timeline(doc, version, expect_storms, expect_clean):
     require(sum(t["violations"] for t in targets) ==
             slo["violations_total"],
             "slo per-target violations do not sum to violations_total")
-    if version >= 8:
-        # The episode ledger: contiguous violation runs and whether each
-        # re-attained the SLO. Reattainments must count exactly the
-        # recovered episodes — the scalar MTTR feeds on.
-        require(isinstance(slo.get("reattainments"), int),
-                "timeline.slo.reattainments")
-        episodes = slo.get("episodes")
-        require(isinstance(episodes, list), "timeline.slo.episodes")
-        recovered = 0
-        for e in episodes:
-            for key in ("start_window", "end_window", "violating_windows"):
-                require(isinstance(e.get(key), int), f"episode.{key}")
-            for key in ("t_start_ms", "t_end_ms"):
-                require(isinstance(e.get(key), (int, float)),
-                        f"episode.{key}")
-            require(isinstance(e.get("recovered"), bool),
-                    "episode.recovered")
-            require(e["violating_windows"] >= 1,
-                    "episode with zero violating windows")
-            require(e["end_window"] >= e["start_window"] and
-                    e["t_end_ms"] >= e["t_start_ms"],
-                    "episode runs backward")
-            recovered += e["recovered"]
-        require(recovered == slo["reattainments"],
-                f"recovered episodes != slo.reattainments "
-                f"({recovered} != {slo['reattainments']})")
-        require(not episodes or slo["violations_total"] > 0,
-                "episodes present but violations_total == 0")
+    # The episode ledger: contiguous violation runs and whether each
+    # re-attained the SLO. Reattainments must count exactly the recovered
+    # episodes — the scalar MTTR feeds on.
+    require(isinstance(slo.get("reattainments"), int),
+            "timeline.slo.reattainments")
+    episodes = slo.get("episodes")
+    require(isinstance(episodes, list), "timeline.slo.episodes")
+    recovered = 0
+    for e in episodes:
+        for key in ("start_window", "end_window", "violating_windows"):
+            require(isinstance(e.get(key), int), f"episode.{key}")
+        for key in ("t_start_ms", "t_end_ms"):
+            require(isinstance(e.get(key), (int, float)), f"episode.{key}")
+        require(isinstance(e.get("recovered"), bool), "episode.recovered")
+        require(e["violating_windows"] >= 1,
+                "episode with zero violating windows")
+        require(e["end_window"] >= e["start_window"] and
+                e["t_end_ms"] >= e["t_start_ms"],
+                "episode runs backward")
+        recovered += e["recovered"]
+    require(recovered == slo["reattainments"],
+            f"recovered episodes != slo.reattainments "
+            f"({recovered} != {slo['reattainments']})")
+    require(not episodes or slo["violations_total"] > 0,
+            "episodes present but violations_total == 0")
     if expect_storms:
         require(totals["storm_onset"] > 0,
                 "--expect-storms: no storm_onset annotations")
@@ -341,17 +277,16 @@ def validate_timeline(doc, version, expect_storms, expect_clean):
                 f"({ {k: v for k, v in totals.items() if v} })")
 
 
-def validate_service(doc, version, expect_service, expect_shed,
-                     expect_chaos):
-    """Checks the v8+ service section: harness config, session accounting,
-    and per-chaos-phase recovery reports.
+def validate_service(doc, expect_service, expect_shed, expect_chaos):
+    """Checks the service section: harness config, session accounting, and
+    per-chaos-phase recovery reports.
 
     The conservation laws are the section's whole point — an open-loop
     harness that loses track of a session under overload or chaos would
     silently understate latency and overstate availability. All must hold
-    exactly, in every run, chaos or not. v9 widens both laws with the
-    memory tier: watermark sheds (shed_mem) and mid-flight pool exhaustion
-    (oom) are distinct, counted outcomes, never silent drops."""
+    exactly, in every run, chaos or not. Watermark sheds (shed_mem) and
+    mid-flight pool exhaustion (oom) are distinct, counted outcomes, never
+    silent drops."""
     svc = doc["service"]
     require(isinstance(svc, dict), "service must be an object")
     for key in ("arrival_rate", "burstiness", "duration_ms"):
@@ -360,16 +295,13 @@ def validate_service(doc, version, expect_service, expect_shed,
         require(isinstance(svc.get(key), int) and svc[key] > 0,
                 f"service.{key}")
     require(isinstance(svc.get("chaos_script"), str), "service.chaos_script")
-    counter_names = ["sessions_generated", "sessions_accepted",
-                     "sessions_shed", "sessions_completed", "sessions_killed",
-                     "requests", "worker_deaths", "worker_respawns",
-                     "reap_batches", "chaos_phases"]
-    if version >= 9:
-        counter_names += ["sessions_shed_mem", "sessions_oom"]
-    for key in counter_names:
+    for key in ("sessions_generated", "sessions_accepted", "sessions_shed",
+                "sessions_completed", "sessions_killed", "requests",
+                "worker_deaths", "worker_respawns", "reap_batches",
+                "chaos_phases", "sessions_shed_mem", "sessions_oom"):
         require(isinstance(svc.get(key), int), f"service.{key}")
-    shed_mem = svc.get("sessions_shed_mem", 0)
-    oom = svc.get("sessions_oom", 0)
+    shed_mem = svc["sessions_shed_mem"]
+    oom = svc["sessions_oom"]
     require(svc["sessions_generated"] ==
             svc["sessions_accepted"] + svc["sessions_shed"] + shed_mem,
             "service conservation broken: generated != accepted + shed "
@@ -394,8 +326,8 @@ def validate_service(doc, version, expect_service, expect_shed,
     applied = 0
     for p in phases:
         require(isinstance(p.get("spec"), str), "phase.spec")
-        require(p.get("kind") in chaos_kinds(version),
-                f"phase.kind {p.get('kind')!r} not in {chaos_kinds(version)}")
+        require(p.get("kind") in CHAOS_KINDS,
+                f"phase.kind {p.get('kind')!r} not in {CHAOS_KINDS}")
         for key in ("at_ms", "onset_ms", "mttr_ms", "reap_latency_ms"):
             require(isinstance(p.get(key), (int, float)), f"phase.{key}")
         for key in ("shed_during", "orphans_reaped"):
@@ -446,7 +378,7 @@ def validate_service(doc, version, expect_service, expect_shed,
 
 def validate_mem(doc, mem_active, crash_active, expect_alloc_faults,
                  expect_mem_squeeze, chaos_squeeze):
-    """Checks the v9 mem section: global pool accounting, per-thread
+    """Checks the mem section: global pool accounting, per-thread
     ledgers, and the conservation laws that tie them together.
 
     The global counters and the per-thread ledgers are maintained
@@ -527,55 +459,33 @@ def validate_report(path, expect_faults=False, expect_crashes=False,
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
     version = doc.get("schema_version")
-    require(isinstance(version, int) and
-            SCHEMA_VERSION_MIN <= version <= SCHEMA_VERSION_MAX,
-            f"schema_version must be between {SCHEMA_VERSION_MIN} "
-            f"and {SCHEMA_VERSION_MAX}")
+    require(version == SCHEMA_VERSION,
+            f"schema_version must be {SCHEMA_VERSION} (got {version!r})")
     if exact_schema is not None:
         require(version == exact_schema,
                 f"--schema {exact_schema}: report is v{version}")
     require(isinstance(doc.get("bench"), str), "bench must be a string")
     opts = doc.get("options")
     require(isinstance(opts, dict), "options must be an object")
-    opt_keys = ["duration_ms", "repeats", "max_threads", "fault_rate"]
-    if version >= 5:
-        opt_keys.append("crash_rate")
-    if version >= 7:
-        opt_keys.append("sample_interval_ms")
-    for key in opt_keys:
+    for key in ("duration_ms", "repeats", "max_threads", "fault_rate",
+                "crash_rate", "sample_interval_ms", "alloc_fault_rate"):
         require(isinstance(opts.get(key), (int, float)), f"options.{key}")
     require(opts.get("clock") in ("gv1", "gv5"), "options.clock")
-    require(opts.get("retry") in ("cause", "fixed"), "options.retry")
-    if version >= 6:
-        require(opts.get("validation") in ("exact", "sig"),
-                "options.validation")
-    if version >= 7:
-        require(isinstance(opts.get("slo"), str), "options.slo")
-    if version >= 8:
-        require(isinstance(opts.get("slo_observe"), bool),
-                "options.slo_observe")
-    if version >= 9:
-        require(isinstance(opts.get("mem_limit"), int), "options.mem_limit")
-        require(isinstance(opts.get("alloc_fault_rate"), (int, float)),
-                "options.alloc_fault_rate")
+    require(isinstance(opts.get("slo"), str), "options.slo")
+    require(isinstance(opts.get("slo_observe"), bool), "options.slo_observe")
+    require(isinstance(opts.get("mem_limit"), int), "options.mem_limit")
+    for key in REMOVED_OPTION_KEYS:
+        require(key not in opts, f"options.{key} was dropped in schema 10")
     # The service section is bench_service's alone: present iff this is a
-    # service report, and only the v8 schema knows it at all.
-    if version >= 8:
-        require(("service" in doc) == (doc["bench"] == "service"),
-                "service section present iff bench == \"service\"")
-    else:
-        require("service" not in doc,
-                f"v{version} report carries a v8 service section")
-        require(not (expect_service or expect_shed or expect_chaos),
-                "--expect-service/--expect-shed/--expect-chaos need a "
-                "v8 bench_service report")
+    # service report.
+    require(("service" in doc) == (doc["bench"] == "service"),
+            "service section present iff bench == \"service\"")
     if "service" in doc:
-        validate_service(doc, version, expect_service, expect_shed,
-                         expect_chaos)
+        validate_service(doc, expect_service, expect_shed, expect_chaos)
     else:
         require(not (expect_service or expect_shed or expect_chaos),
                 "--expect-service/--expect-shed/--expect-chaos need a "
-                "v8 bench_service report")
+                "bench_service report")
     # Chaos phases are the one legitimate way fault/crash/memory counters
     # go hot while the --fault-rate/--crash-rate/--mem-limit options stay
     # 0: a fault-storm flips the injector's override, a kill phase injects
@@ -590,23 +500,20 @@ def validate_report(path, expect_faults=False, expect_crashes=False,
             chaos_squeeze |= p.get("kind") == "mem-squeeze"
     htm = doc.get("htm")
     require(isinstance(htm, dict), "htm must be an object")
-    htm_keys = ["commits", "aborts", "abort_rate", "lock_fallbacks",
+    for key in ("commits", "aborts", "abort_rate", "lock_fallbacks",
                 "clock_bumps", "writer_commits", "sloppy_stamps",
                 "clock_resamples", "clock_catchups", "coalesced_stores",
                 "faults_injected", "tle_entries", "storm_entries",
-                "storm_exits", "max_consec_aborts"]
-    if version >= 5:
-        htm_keys += ["crashes_injected", "lock_recoveries", "orphans_reaped"]
-    if version >= 6:
-        htm_keys += list(SIG_KEYS)
-    for key in htm_keys:
+                "storm_exits", "max_consec_aborts") + CRASH_KEYS:
         require(isinstance(htm.get(key), (int, float)), f"htm.{key}")
+    for key in REMOVED_HTM_KEYS:
+        require(key not in htm, f"htm.{key} was dropped in schema 10")
     if opts["clock"] == "gv5":
         require(htm["clock_bumps"] == 0,
                 "gv5 run performed shared-clock fetch_adds")
     by_code = htm.get("aborts_by_code")
     require(isinstance(by_code, dict), "htm.aborts_by_code must be an object")
-    for code in abort_codes(version):
+    for code in ABORT_CODES:
         require(isinstance(by_code.get(code), int), f"aborts_by_code.{code}")
     require(sum(by_code.values()) == htm["aborts"],
             "aborts_by_code must sum to htm.aborts")
@@ -620,39 +527,25 @@ def validate_report(path, expect_faults=False, expect_crashes=False,
             require(by_code[code] == 0,
                     f"injection off but aborts_by_code.{code} != 0")
     if expect_crashes:
-        require(version >= 5, "--expect-crashes needs a v5 report")
-        for key in ("crashes_injected", "lock_recoveries", "orphans_reaped"):
+        for key in CRASH_KEYS:
             require(htm[key] > 0, f"--expect-crashes: htm.{key} == 0")
-    elif version >= 5 and opts["crash_rate"] == 0 and not chaos_kill:
-        for key in ("crashes_injected", "lock_recoveries", "orphans_reaped"):
+    elif opts["crash_rate"] == 0 and not chaos_kill:
+        for key in CRASH_KEYS:
             require(htm[key] == 0,
                     f"crash injection off but htm.{key} != 0")
-    if version >= 6 and opts["validation"] == "exact":
-        for key in SIG_KEYS:
-            require(htm[key] == 0,
-                    f"validation is exact but htm.{key} != 0")
-    # The mem section is part of the v9 schema on EVERY bench (the pool is
-    # always live); earlier schemas must not carry it.
-    if version >= 9:
-        require("mem" in doc, "v9 report is missing the mem section")
-        mem_active = (opts["mem_limit"] != 0 or
-                      opts["alloc_fault_rate"] != 0 or chaos_squeeze)
-        crash_active = (expect_crashes or opts.get("crash_rate", 0) != 0 or
-                        chaos_kill)
-        validate_mem(doc, mem_active, crash_active, expect_alloc_faults,
-                     expect_mem_squeeze, chaos_squeeze)
-    else:
-        require("mem" not in doc,
-                f"v{version} report carries a v9 mem section")
-        require(not (expect_alloc_faults or expect_mem_squeeze),
-                "--expect-alloc-faults/--expect-mem-squeeze need a v9 "
-                "report")
+    # The mem section is on EVERY report (the pool is always live).
+    require("mem" in doc, "report is missing the mem section")
+    mem_active = (opts["mem_limit"] != 0 or opts["alloc_fault_rate"] != 0 or
+                  chaos_squeeze)
+    crash_active = expect_crashes or opts["crash_rate"] != 0 or chaos_kill
+    validate_mem(doc, mem_active, crash_active, expect_alloc_faults,
+                 expect_mem_squeeze, chaos_squeeze)
     retry = doc.get("retry")
     require(isinstance(retry, dict), "retry must be an object")
-    require(retry.get("policy") in ("cause", "fixed"), "retry.policy")
+    require("policy" not in retry, "retry.policy was dropped in schema 10")
     by_cause = retry.get("by_cause")
     require(isinstance(by_cause, dict), "retry.by_cause must be an object")
-    for cause in abort_codes(version):
+    for cause in ABORT_CODES:
         entry = by_cause.get(cause)
         require(isinstance(entry, dict), f"retry.by_cause.{cause}")
         for key in ("count", "p50_attempt", "p99_attempt", "max_attempt"):
@@ -663,7 +556,7 @@ def validate_report(path, expect_faults=False, expect_crashes=False,
                     f"retry.by_cause.{cause} quantiles out of order")
     lat = doc.get("op_latency_ns")
     require(isinstance(lat, dict), "op_latency_ns must be an object")
-    for op in (OPS_V6 if version >= 6 else OPS):
+    for op in OPS:
         entry = lat.get(op)
         require(isinstance(entry, dict), f"op_latency_ns.{op}")
         for key in ("count", "p50", "p90", "p99", "max", "mean"):
@@ -686,28 +579,22 @@ def validate_report(path, expect_faults=False, expect_crashes=False,
     require(isinstance(trace.get("compiled"), bool), "trace.compiled")
     require(isinstance(trace.get("events_emitted"), int),
             "trace.events_emitted")
-    if version >= 7:
-        require(isinstance(trace.get("requested"), bool), "trace.requested")
-        require(isinstance(trace.get("enabled"), bool), "trace.enabled")
-        require(trace["enabled"] ==
-                (trace["requested"] and trace["compiled"]),
-                "trace.enabled must be requested AND compiled")
-        if not trace["enabled"]:
-            require(trace["events_emitted"] == 0,
-                    "trace disabled but events were emitted")
-        if opts["sample_interval_ms"] > 0:
-            validate_timeline(doc, version, expect_storms,
-                              expect_clean_timeline)
-        else:
-            require("timeline" not in doc,
-                    "sampling off but a timeline section is present "
-                    "(zero-overhead guard)")
-            require(not (expect_storms or expect_clean_timeline),
-                    "--expect-storms/--expect-clean-timeline need a "
-                    "sampled run (options.sample_interval_ms > 0)")
+    require(isinstance(trace.get("requested"), bool), "trace.requested")
+    require(isinstance(trace.get("enabled"), bool), "trace.enabled")
+    require(trace["enabled"] == (trace["requested"] and trace["compiled"]),
+            "trace.enabled must be requested AND compiled")
+    if not trace["enabled"]:
+        require(trace["events_emitted"] == 0,
+                "trace disabled but events were emitted")
+    if opts["sample_interval_ms"] > 0:
+        validate_timeline(doc, expect_storms, expect_clean_timeline)
     else:
+        require("timeline" not in doc,
+                "sampling off but a timeline section is present "
+                "(zero-overhead guard)")
         require(not (expect_storms or expect_clean_timeline),
-                "--expect-storms/--expect-clean-timeline need a v7 report")
+                "--expect-storms/--expect-clean-timeline need a sampled run "
+                "(options.sample_interval_ms > 0)")
     require(isinstance(doc.get("columns"), list), "columns must be an array")
     rows = doc.get("rows")
     require(isinstance(rows, list) and rows, "rows must be non-empty")
@@ -784,7 +671,7 @@ def main(argv):
     summary = [f"report ok (bench={report['bench']}, "
                f"commits={report['htm']['commits']}, "
                f"faults={report['htm']['faults_injected']}, "
-               f"crashes={report['htm'].get('crashes_injected', 'n/a')})"]
+               f"crashes={report['htm']['crashes_injected']})"]
     if "timeline" in report:
         tl = report["timeline"]
         storms = tl["annotation_totals"]["storm_onset"]
@@ -802,9 +689,9 @@ def main(argv):
         svc = report["service"]
         summary.append(f"service ok (generated={svc['sessions_generated']}, "
                        f"shed={svc['sessions_shed']}, "
-                       f"shed_mem={svc.get('sessions_shed_mem', 0)}, "
+                       f"shed_mem={svc['sessions_shed_mem']}, "
                        f"killed={svc['sessions_killed']}, "
-                       f"oom={svc.get('sessions_oom', 0)}, "
+                       f"oom={svc['sessions_oom']}, "
                        f"chaos_phases={svc['chaos_phases']})")
     if trace_paths:
         events = validate_trace(trace_paths[0], expect_events)

@@ -63,10 +63,14 @@ void CrashTolerantCollect::deregister(Handle h) {
   // the lease in place with a now-dead owner: the reaper re-runs the inner
   // deregister from scratch, which is sound because the claiming
   // transaction did not commit (see lease.hpp). Once the inner call
-  // returns, no crash point separates it from the erase.
+  // returns, no crash point separates it from the erase — but h is free,
+  // so another thread may already have registered it again and stamped a
+  // lease of its own, which must survive: erase only our own.
   inner_->deregister(h);
+  const htm::crash::Token me = htm::crash::self_token();
   std::lock_guard lock(mu_);
-  leases_.erase(h);
+  const auto it = leases_.find(h);
+  if (it != leases_.end() && it->second.owner == me) leases_.erase(it);
 }
 
 void CrashTolerantCollect::collect(std::vector<Value>& out) {
@@ -113,8 +117,14 @@ std::size_t CrashTolerantCollect::reap_orphans() {
   for (std::size_t i = 0; i < victims.size(); ++i) {
     inner_->deregister(victims[i]);
     {
+      // As in deregister(): a lease stamped by a fresh Register of the
+      // now-free handle is not ours to erase.
       std::lock_guard lock(mu_);
-      leases_.erase(victims[i]);
+      const auto it = leases_.find(victims[i]);
+      if (it != leases_.end() && it->second.claimed &&
+          it->second.claimant == me) {
+        leases_.erase(it);
+      }
     }
     ++reaped;
     htm::local_stats().orphans_reaped++;

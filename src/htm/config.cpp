@@ -40,76 +40,9 @@ ClockPolicy default_clock_policy() noexcept {
   return def;
 }
 
-const char* to_string(RetryPolicy policy) noexcept {
-  switch (policy) {
-    case RetryPolicy::kFixed:
-      return "fixed";
-    case RetryPolicy::kCauseAware:
-      return "cause";
-  }
-  return "?";
-}
+const char* to_string(RetryPolicy) noexcept { return "cause"; }
 
-bool parse_retry_policy(const char* name, RetryPolicy& out) noexcept {
-  if (name == nullptr) return false;
-  if (std::strcmp(name, "fixed") == 0) {
-    out = RetryPolicy::kFixed;
-    return true;
-  }
-  if (std::strcmp(name, "cause") == 0) {
-    out = RetryPolicy::kCauseAware;
-    return true;
-  }
-  return false;
-}
-
-RetryPolicy default_retry_policy() noexcept {
-  // Read once, like DC_CLOCK: scripts/check.sh and CI pin the whole run to
-  // one policy without a rebuild; tests that need a specific policy set
-  // Config::retry_policy explicitly.
-  static const RetryPolicy def = [] {
-    RetryPolicy p = RetryPolicy::kCauseAware;
-    parse_retry_policy(std::getenv("DC_RETRY"), p);
-    return p;
-  }();
-  return def;
-}
-
-const char* to_string(ValidationPolicy policy) noexcept {
-  switch (policy) {
-    case ValidationPolicy::kExact:
-      return "exact";
-    case ValidationPolicy::kSignature:
-      return "sig";
-  }
-  return "?";
-}
-
-bool parse_validation_policy(const char* name,
-                             ValidationPolicy& out) noexcept {
-  if (name == nullptr) return false;
-  if (std::strcmp(name, "exact") == 0) {
-    out = ValidationPolicy::kExact;
-    return true;
-  }
-  if (std::strcmp(name, "sig") == 0) {
-    out = ValidationPolicy::kSignature;
-    return true;
-  }
-  return false;
-}
-
-ValidationPolicy default_validation_policy() noexcept {
-  // Read once, like DC_CLOCK/DC_RETRY: the CI matrix and scripts/check.sh
-  // --validate pin a whole run to one backend without a rebuild; tests that
-  // need a specific backend set Config::validation explicitly.
-  static const ValidationPolicy def = [] {
-    ValidationPolicy p = ValidationPolicy::kExact;
-    parse_validation_policy(std::getenv("DC_VALIDATE"), p);
-    return p;
-  }();
-  return def;
-}
+const char* to_string(ValidationPolicy) noexcept { return "exact"; }
 
 FaultConfig default_fault_config() noexcept {
   // DC_FAULT="RATE" or "RATE:SEED". Out-of-range rates clamp to [0, 1];

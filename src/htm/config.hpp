@@ -43,67 +43,15 @@ bool parse_clock_policy(const char* name, ClockPolicy& out) noexcept;
 // environment variable ("gv1" or "gv5"; read once, at first use).
 ClockPolicy default_clock_policy() noexcept;
 
-// Retry policy of htm::atomic() (htm/retry.hpp).
-//
-//   kFixed  The pre-fault-model behaviour, kept as the reference: every
-//           abort — whatever its cause — pays one backoff pause, and the
-//           block escalates to the TLE lock after Config::tle_after_aborts
-//           consecutive failures.
-//
-//   kCause  Cause-aware (default). Spurious Rock-style aborts (interrupt /
-//           TLB miss / save-restore) are re-executed immediately — the
-//           condition was transient, waiting buys nothing; conflicts pay a
-//           jittered capped backoff; deterministic capacity overflows
-//           escalate straight to TLE instead of burning tle_after_aborts
-//           futile re-executions. Every abort still counts toward the TLE
-//           backstop, so a 100% fault storm cannot livelock a block.
-enum class RetryPolicy : uint8_t {
-  kFixed = 0,
-  kCauseAware,
-};
+// The retry policy of htm::atomic() (cause-aware; htm/retry.hpp) and the
+// conflict-validation backend (exact read-set walk; htm/txn.hpp). Each has a
+// single value: they survive only as names for perfbench's `policies` meta
+// line, the one remaining reader, which a later benchmark-only change drops.
+enum class RetryPolicy : uint8_t { kCauseAware = 0 };
+enum class ValidationPolicy : uint8_t { kExact = 0 };
 
 const char* to_string(RetryPolicy policy) noexcept;
-
-// Parses "fixed"/"cause" (case-sensitive). Returns false on anything else.
-bool parse_retry_policy(const char* name, RetryPolicy& out) noexcept;
-
-// Process default: RetryPolicy::kCauseAware, overridable by the DC_RETRY
-// environment variable ("fixed" or "cause"; read once, at first use).
-RetryPolicy default_retry_policy() noexcept;
-
-// Conflict-validation backend (htm/sigset.hpp, htm/valring.hpp).
-//
-//   kExact      The TL2 reference: per-load revalidation and commit-time
-//               validation walk the exact read set, loading every read
-//               orec and comparing its version against the snapshot.
-//               O(|read set|) random orec loads per validation — the cost
-//               the signature backend exists to amortize.
-//
-//   kSignature  Bloom-signature validation: each attempt accumulates the
-//               indices of its read orecs into a fixed-size per-attempt
-//               signature (two hash bits per orec, zero allocations);
-//               committing writers publish their write signature into a
-//               bounded global ring stamped with their commit version.
-//               Validation intersects the read signature against ring
-//               entries newer than the snapshot — O(ring) word-ANDs
-//               instead of O(|read set|) orec loads. Empty intersection
-//               means valid; a hit aborts (false positives are safe, only
-//               costing a retry); a ring wrap past the snapshot falls back
-//               conservatively to the exact walk. See DESIGN.md §11 for
-//               why false negatives are impossible.
-enum class ValidationPolicy : uint8_t {
-  kExact = 0,
-  kSignature,
-};
-
 const char* to_string(ValidationPolicy policy) noexcept;
-
-// Parses "exact"/"sig" (case-sensitive). Returns false on anything else.
-bool parse_validation_policy(const char* name, ValidationPolicy& out) noexcept;
-
-// Process default: ValidationPolicy::kExact, overridable by the DC_VALIDATE
-// environment variable ("exact" or "sig"; read once, at first use).
-ValidationPolicy default_validation_policy() noexcept;
 
 // Fault-injection knobs (htm/fault.hpp). Defaults: injection off.
 struct FaultConfig {
@@ -212,30 +160,10 @@ struct Config {
   // fields. Little-endian hosts only (disabled automatically elsewhere).
   bool enable_write_coalescing = true;
 
-  // How htm::atomic() reacts to each abort cause; see RetryPolicy above.
-  // Change only while no transactions run.
-  RetryPolicy retry_policy = default_retry_policy();
-
-  // Which conflict-validation backend loads and commits use; see
-  // ValidationPolicy above. Change only while no transactions run (each
-  // attempt snapshots it, and the signature ring is only fed while the
-  // process-wide policy is kSignature — a mid-run flip would leave a
-  // window the ring never saw).
-  ValidationPolicy validation = default_validation_policy();
-
-  // Differential-oracle modifier of the signature backend (tests only, no
-  // environment/CLI spelling): with validation == kSignature, every
-  // validation runs the exact walk first — which stays authoritative for
-  // the commit/abort decision — and then the signature scan, counting
-  // divergence instead of acting on it. "Exact conflict but signature
-  // valid" is a false negative (forbidden; sigring::
-  // crosscheck_false_negatives), "exact valid but signature hit" a false
-  // positive (safe; TxnStats::sig_false_aborts). The exact-first ordering
-  // matters: the walk's acquire load of the culprit orec synchronizes with
-  // the writer's publish-before-release, so by the time the scan runs the
-  // matching ring/in-flight entry is guaranteed visible and the zero-
-  // false-negative assertion is sound even under full concurrency.
-  bool validation_crosscheck = false;
+  // Fixed policies, named for perfbench's meta line only (see RetryPolicy
+  // above); nothing can set them.
+  static constexpr RetryPolicy retry_policy = RetryPolicy::kCauseAware;
+  static constexpr ValidationPolicy validation = ValidationPolicy::kExact;
 
   // Spurious-abort injection; see FaultConfig and htm/fault.hpp. Scripted
   // schedules (fault::set_script) are configured separately and override

@@ -110,6 +110,7 @@ struct Decision {
 struct Token {
   uint32_t tid = 0;
   uint64_t epoch = 0;
+  friend bool operator==(const Token&, const Token&) = default;
 };
 
 // True when any injection source is active (rate > 0, a script installed,

@@ -155,13 +155,7 @@ void tle_release() noexcept {
 
 }  // namespace detail
 
-namespace {
-
-// kSig is a compile-time split so the exact backend's deallocate path stays
-// byte-identical (no 512-byte SigSet to zero, no ring branches).
-template <bool kSig>
-void invalidate_range_impl(void* p, std::size_t bytes,
-                           bool poison) noexcept {
+void invalidate_range(void* p, std::size_t bytes, bool poison) noexcept {
   // Advance every ownership record covering the range, one at a time (never
   // holding two orec locks, so this cannot deadlock against a committing
   // transaction that locks its write set in sorted order).
@@ -170,20 +164,6 @@ void invalidate_range_impl(void* p, std::size_t bytes,
   const OrecValue mine = make_locked(~0ULL >> 1);
   const ClockPolicy policy = config().clock_policy;
   const uint64_t stride = util::thread_id() + 1;
-  // Signature backend: one batched write signature over every covered orec,
-  // in flight across the whole walk and published once at the maximum stamp
-  // — the range bump is a single logical write (the free of one block), so
-  // it costs one ring entry, not one per word.
-  SigSet wsig;
-  uint64_t max_wv = 0;
-  if constexpr (kSig) {
-    Orec* const table = orec_table();
-    for (uintptr_t word = start; word < end; word += 8) {
-      wsig.add(static_cast<uint64_t>(
-          &orec_for(reinterpret_cast<const void*>(word)) - table));
-    }
-    sigring::begin_inflight(wsig);
-  }
   for (uintptr_t word = start; word < end; word += 8) {
     Orec& o = orec_for(reinterpret_cast<const void*>(word));
     util::Backoff backoff(2, 64);
@@ -203,26 +183,7 @@ void invalidate_range_impl(void* p, std::size_t bytes,
     }
     const ClockStamp stamp =
         writer_stamp(policy, orec_version(cur), orec_version(cur), stride);
-    if constexpr (kSig) {
-      if (stamp.wv > max_wv) max_wv = stamp.wv;
-    }
     o.value.store(make_version(stamp.wv), std::memory_order_release);
-  }
-  if constexpr (kSig) {
-    // Published after the per-orec releases; the still-open in-flight
-    // window covers the gap (same argument as the lock-mode commit).
-    if (max_wv != 0) sigring::publish(wsig, max_wv);
-    sigring::end_inflight();
-  }
-}
-
-}  // namespace
-
-void invalidate_range(void* p, std::size_t bytes, bool poison) noexcept {
-  if (config().validation == ValidationPolicy::kSignature) {
-    invalidate_range_impl<true>(p, bytes, poison);
-  } else {
-    invalidate_range_impl<false>(p, bytes, poison);
   }
 }
 

@@ -27,7 +27,6 @@
 #include "htm/retry.hpp"
 #include "htm/stats.hpp"
 #include "htm/txn.hpp"
-#include "htm/valring.hpp"
 #include "obs/histogram.hpp"
 #include "obs/retry_stats.hpp"
 #include "obs/trace.hpp"
@@ -69,13 +68,6 @@ inline void commit_timed(Txn& txn) {
 template <TxnWord T>
 void nontxn_store(T* addr, T value) noexcept {
   Orec& o = orec_for(addr);
-  // Signature-backend visibility (valring.hpp): a strong-atomicity store is
-  // a one-orec writing commit, so it follows the same protocol — in-flight
-  // before the lock CAS, ring publish before the orec release, in-flight
-  // end after it. The exact backend skips all of it (one branch).
-  const bool sig = config().validation == ValidationPolicy::kSignature;
-  const auto orec_idx = static_cast<uint64_t>(&o - orec_table());
-  if (sig) sigring::begin_inflight_single(orec_idx);
   const OrecValue mine = make_locked(~0ULL >> 1);  // anonymous owner token
   util::Backoff backoff(2, 64);
   OrecValue cur = o.value.load(std::memory_order_relaxed);
@@ -94,9 +86,7 @@ void nontxn_store(T* addr, T value) noexcept {
   const ClockStamp stamp =
       writer_stamp(config().clock_policy, orec_version(cur),
                    orec_version(cur), util::thread_id() + 1);
-  if (sig) sigring::publish_single(orec_idx, stamp.wv);
   o.value.store(make_version(stamp.wv), std::memory_order_release);
-  if (sig) sigring::end_inflight();
   local_stats().nontxn_stores++;
 }
 
@@ -106,14 +96,6 @@ void nontxn_store(T* addr, T value) noexcept {
 template <TxnWord T>
 bool nontxn_cas(T* addr, T expected, T desired) noexcept {
   Orec& o = orec_for(addr);
-  // Same signature-visibility protocol as nontxn_store. This is what keeps
-  // TLE exclusivity intact under the signature backend: the TLE lock is
-  // taken with nontxn_cas, and every speculative attempt reads the lock
-  // word, so the acquirer's in-flight entry / ring publish is what dooms
-  // in-flight readers that never load the lock orec at validation time.
-  const bool sig = config().validation == ValidationPolicy::kSignature;
-  const auto orec_idx = static_cast<uint64_t>(&o - orec_table());
-  if (sig) sigring::begin_inflight_single(orec_idx);
   const OrecValue mine = make_locked(~0ULL >> 1);
   util::Backoff backoff(2, 64);
   OrecValue cur = o.value.load(std::memory_order_relaxed);
@@ -126,23 +108,17 @@ bool nontxn_cas(T* addr, T expected, T desired) noexcept {
     cur = o.value.load(std::memory_order_relaxed);
   }
   const T observed = detail::atomic_word_load(addr);
-  bool success = false;
-  if (observed == expected) {
-    detail::atomic_word_store(addr, desired);
-    success = true;
-  }
-  if (success) {
-    const ClockStamp stamp =
-        writer_stamp(config().clock_policy, orec_version(cur),
-                     orec_version(cur), util::thread_id() + 1);
-    if (sig) sigring::publish_single(orec_idx, stamp.wv);
-    o.value.store(make_version(stamp.wv), std::memory_order_release);
-  } else {
-    // Failed CAS: memory unchanged, orec restored — nothing to publish.
+  if (observed != expected) {
+    // Failed CAS: memory unchanged, orec restored.
     o.value.store(cur, std::memory_order_release);
+    return false;
   }
-  if (sig) sigring::end_inflight();
-  return success;
+  detail::atomic_word_store(addr, desired);
+  const ClockStamp stamp =
+      writer_stamp(config().clock_policy, orec_version(cur),
+                   orec_version(cur), util::thread_id() + 1);
+  o.value.store(make_version(stamp.wv), std::memory_order_release);
+  return true;
 }
 
 // Non-transactional load. Single-word atomic; values written by an
@@ -231,7 +207,7 @@ TryResult try_once(F&& body) {
       txn.commit();
       local_stats().commits++;
       return TryResult{true, AbortCode::kNone};
-    } catch (const TxnAbort& a) {  // explicit abort under the lock
+    } catch (const TxnAbort& a) {  // explicit or commit abort under the lock
       local_stats().aborts++;
       local_stats().aborts_by_code[static_cast<std::size_t>(a.code)]++;
       obs::record_retry(static_cast<uint8_t>(a.code), 0);
@@ -291,7 +267,7 @@ TryResult try_once(F&& body) {
 // Runs `body` atomically, retrying until it commits. How each failed
 // attempt is retried — immediately, after jittered backoff, or escalated to
 // the fallback lock — is decided by the cause-aware retry controller
-// (htm/retry.hpp; Config::retry_policy selects the legacy fixed behaviour).
+// (htm/retry.hpp).
 // Each call-site additionally owns a sticky abort-storm state: under
 // sustained conflict the whole site degrades to serialized (TLE) execution
 // and recovers once commits return. Returns the body's return value. This
@@ -361,8 +337,9 @@ decltype(auto) atomic(F&& body) {
           return r;
         }
       } catch (const TxnAbort& a) {
-        // An explicit abort under the lock: release, pause, retry (the
-        // block stays in lock mode — escalation is sticky).
+        // An explicit abort under the lock, or a commit whose reads a
+        // strong-atomicity store changed: release, pause, retry (the block
+        // stays in lock mode — escalation is sticky).
         local_stats().aborts++;
         local_stats().aborts_by_code[static_cast<std::size_t>(a.code)]++;
         rc.on_lock_abort(a.code);

@@ -1,22 +1,21 @@
-// Contention management for htm::atomic(): pluggable retry policy, abort
-// cause triage, and per-call-site abort-storm degradation.
+// Contention management for htm::atomic(): cause-aware retry (abort
+// cause triage), and per-call-site abort-storm degradation.
 //
 // Rock-era TLE software had to answer one question after every failed
 // transaction: retry now, retry later, or give up and take the lock? The
 // right answer depends on *why* the attempt died (paper §6; Dice et al.,
 // ASPLOS'09 report exactly this cause triage for Rock):
 //
-//   cause            transient?   policy kCauseAware        policy kFixed
-//   ---------------  -----------  ------------------------  -------------
-//   interrupt        yes          retry immediately         backoff
-//   tlb-miss         yes          retry immediately         backoff
-//   save-restore     yes          retry immediately         backoff
-//   conflict         contention   jittered capped backoff   backoff
-//   explicit         algorithmic  jittered capped backoff   backoff
-//   illegal-access   transient*   jittered capped backoff   backoff
-//   overflow         no           escalate straight to TLE  backoff
-//   alloc-failed     resource     wait for reclamation, then give up (both
-//                                 policies — see below)
+//   cause            transient?   action
+//   ---------------  -----------  ------------------------------------------
+//   interrupt        yes          retry immediately
+//   tlb-miss         yes          retry immediately
+//   save-restore     yes          retry immediately
+//   conflict         contention   jittered capped backoff
+//   explicit         algorithmic  jittered capped backoff
+//   illegal-access   transient*   jittered capped backoff
+//   overflow         no           escalate straight to TLE
+//   alloc-failed     resource     wait for reclamation, then give up (below)
 //
 //   (* illegal-access means the transaction read freed memory; the retry
 //      re-reads fresh pointers, so it behaves like a conflict.)
@@ -30,8 +29,7 @@
 // layer never links dc_memory). Progress resets the wait budget;
 // Config::mem.alloc_retry_limit consecutive failures with no progress
 // escalate to a caller-visible TxnOutOfMemory (htm/abort.hpp) instead of
-// TLE. Because this is a correctness matter, not a tuning choice, both
-// retry policies handle it identically.
+// TLE.
 //
 // Every abort — spurious included — counts toward the Config::
 // tle_after_aborts backstop, so even a 100% injected fault storm cannot
@@ -220,18 +218,16 @@ class RetryController {
       storm_.note_abort(cfg_.storm_enter_score);
     }
     const bool tle = cfg_.tle_after_aborts != 0;
-    if (cfg_.retry_policy == RetryPolicy::kCauseAware) {
-      if (is_spurious(code)) {
-        // Transient: re-execute now. Still counts toward the backstop so a
-        // sustained fault storm escalates instead of spinning forever.
-        if (tle && attempt_ >= cfg_.tle_after_aborts) escalated_ = true;
-        return;
-      }
-      if (code == AbortCode::kOverflow && tle) {
-        // Deterministic: the same body re-executed will overflow again.
-        escalated_ = true;
-        return;
-      }
+    if (is_spurious(code)) {
+      // Transient: re-execute now. Still counts toward the backstop so a
+      // sustained fault storm escalates instead of spinning forever.
+      if (tle && attempt_ >= cfg_.tle_after_aborts) escalated_ = true;
+      return;
+    }
+    if (code == AbortCode::kOverflow && tle) {
+      // Deterministic: the same body re-executed will overflow again.
+      escalated_ = true;
+      return;
     }
     if (tle && attempt_ >= cfg_.tle_after_aborts) {
       escalated_ = true;
@@ -240,8 +236,8 @@ class RetryController {
     backoff_.pause();
   }
 
-  // An attempt under the lock aborted (explicit abort in lock mode); the
-  // block stays in lock mode and retries after a pause. Allocation can fail
+  // An attempt under the lock aborted (an explicit abort, or a commit whose
+  // reads a strong-atomicity store changed); the block stays in lock mode and retries after a pause. Allocation can fail
   // under the lock too (the lock cannot conjure memory), so kAllocFailed
   // takes the same bounded-wait/escalate path as in speculative mode.
   void on_lock_abort(AbortCode code) {

@@ -84,23 +84,6 @@ struct TxnStats {
   // Orphaned Collect handles of dead threads DeRegistered by a survivor-run
   // reaper (collect/lease.hpp).
   Counter orphans_reaped = 0;
-  // Signature-backend validations (ValidationPolicy::kSignature) performed
-  // by this thread: every commit-time validation and every timestamp-
-  // extension revalidation that went through the signature scan, whatever
-  // its outcome. Zero whenever the backend is kExact — a checkable
-  // zero-overhead invariant, like faults_injected / crashes_injected.
-  Counter sig_validations = 0;
-  // Signature validations that aborted on a Bloom intersection the exact
-  // walk (run once on that cold abort path, purely to classify) would have
-  // passed: the backend's false-positive cost. Safe — the transaction just
-  // retries — but the crossover measurement needs it observable.
-  Counter sig_false_aborts = 0;
-  // Signature validations that could not be decided from the ring — the
-  // ring wrapped past the snapshot (eviction watermark), a slot never
-  // stabilized, or the thread had no in-flight slot — and fell back to the
-  // exact walk. The conservative escape hatch, counted so ring-sizing
-  // regressions are visible.
-  Counter sig_ring_overflows = 0;
   // Starvation accounting: the largest number of consecutive aborts any one
   // atomic block on this thread suffered before finally committing
   // (high-water mark; aggregated by max).
@@ -131,9 +114,6 @@ struct TxnStats {
     crashes_injected += o.crashes_injected;
     lock_recoveries += o.lock_recoveries;
     orphans_reaped += o.orphans_reaped;
-    sig_validations += o.sig_validations;
-    sig_false_aborts += o.sig_false_aborts;
-    sig_ring_overflows += o.sig_ring_overflows;
     if (o.max_consec_aborts > max_consec_aborts) {
       max_consec_aborts = o.max_consec_aborts;
     }

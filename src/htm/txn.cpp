@@ -5,7 +5,6 @@
 
 #include "htm/clock.hpp"
 #include "htm/stats.hpp"
-#include "htm/valring.hpp"
 #include "obs/conflict_map.hpp"
 #include "obs/histogram.hpp"
 #include "obs/trace.hpp"
@@ -63,9 +62,6 @@ Txn::Txn(bool lock_mode, const Config& cfg, Scratch& s)
       extension_enabled_(cfg.enable_extension),
       coalesce_(cfg.enable_write_coalescing &&
                 std::endian::native == std::endian::little),
-      sig_mode_(cfg.validation == ValidationPolicy::kSignature),
-      sig_crosscheck_(cfg.validation == ValidationPolicy::kSignature &&
-                      cfg.validation_crosscheck),
       lock_mode_(lock_mode),
       s_(s),
       epoch_(++s.epoch) {
@@ -75,21 +71,7 @@ Txn::Txn(bool lock_mode, const Config& cfg, Scratch& s)
   s_.write_set.clear();
   s_.locked.clear();
   s_.abort_hooks.clear();
-  if (sig_mode_) {
-    s_.read_sig.clear();
-    // Absorb the ring's newest published stamp before taking the snapshot
-    // for real. Under GV5 the ring is full of sloppy stamps far ahead of the
-    // shared clock; a snapshot below them would make the scan intersect the
-    // entire ring (pure Bloom noise) and mass-fallback on the eviction
-    // watermark. Raising the clock first (rule 2, same as reader absorb on a
-    // sloppy orec) keeps the serialization argument unchanged — the snapshot
-    // is still a value the shared clock actually held.
-    const uint64_t newest = sigring::newest_stamp();
-    if (newest > rv_) {
-      clock_catch_up(newest);
-      rv_ = global_clock().load(std::memory_order_acquire);
-    }
-  }
+  if (lock_mode) s_.lock_reads.clear();
   obs::trace_txn_begin(lock_mode);
 }
 
@@ -182,13 +164,9 @@ bool Txn::try_extend(uint64_t observed) noexcept {
   // (GV5 sloppy stamps run ahead of it) before this snapshot may adopt it.
   const uint64_t new_rv = resample_clock(observed);
   // Extension is sound only if nothing already read has changed since it
-  // was read. The dispatcher runs at the OLD rv_ (not yet advanced): in
-  // exact mode that is the classic unlocked-at-version<=rv_ walk; in sig
-  // mode the ring scan at the old snapshot catches any writer that stamped
-  // between rv_ and new_rv — including one whose sloppy stamp new_rv is
-  // about to absorb — exactly as the walk would.
-  Orec* bad = nullptr;
-  if (!validate_reads(&bad)) return false;
+  // was read: the walk runs at the OLD rv_ (not yet advanced), so it also
+  // catches a writer whose sloppy stamp new_rv is about to absorb.
+  if (validate_reads() != nullptr) return false;
   local_stats().clock_resamples++;
   obs::trace_clock_resample(static_cast<uint32_t>(rv_),
                             static_cast<uint32_t>(new_rv),
@@ -216,73 +194,18 @@ Orec* Txn::validate_read_set() const noexcept {
   return nullptr;
 }
 
-bool Txn::validate_reads(Orec** culprit) noexcept {
+Orec* Txn::validate_reads() const noexcept {
 #if defined(DC_TRACE)
   // Per-validation latency probe, same gate and bucket schema as the commit
-  // histogram so exact and sig runs are directly comparable in --json
-  // diagnostics.
+  // histogram.
   if (obs::timing_enabled()) {
     const uint64_t c0 = util::rdcycles();
-    const bool ok = validate_reads_impl(culprit);
+    Orec* const bad = validate_read_set();
     obs::record_op(obs::OpKind::kValidate, util::rdcycles() - c0);
-    return ok;
+    return bad;
   }
 #endif
-  return validate_reads_impl(culprit);
-}
-
-bool Txn::validate_reads_impl(Orec** culprit) noexcept {
-  *culprit = nullptr;
-  if (!sig_mode_) {
-    *culprit = validate_read_set();
-    return *culprit == nullptr;
-  }
-  TxnStats& st = local_stats();
-  st.sig_validations++;
-  if (sig_crosscheck_) {
-    // Differential oracle (tests): the exact walk stays authoritative and
-    // runs FIRST — its acquire load of a conflicting orec synchronizes with
-    // the writer's publish-before-release, so the subsequent scan is
-    // guaranteed to see the matching ring/in-flight entry and divergence
-    // counts are free of benign races. See Config::validation_crosscheck.
-    Orec* bad = validate_read_set();
-    const sigring::ScanResult r = sigring::scan(s_.read_sig, rv_);
-    if (r.outcome == sigring::ScanOutcome::kFallback) {
-      st.sig_ring_overflows++;
-    } else if (bad != nullptr && r.outcome == sigring::ScanOutcome::kValid) {
-      sigring::crosscheck_false_negatives().fetch_add(
-          1, std::memory_order_relaxed);
-    } else if (bad == nullptr &&
-               r.outcome == sigring::ScanOutcome::kConflict) {
-      st.sig_false_aborts++;
-    }
-    *culprit = bad;
-    return bad == nullptr;
-  }
-  const sigring::ScanResult r = sigring::scan(s_.read_sig, rv_);
-  if (r.outcome == sigring::ScanOutcome::kValid) return true;
-  if (r.outcome == sigring::ScanOutcome::kFallback) {
-    // The ring wrapped past the snapshot (or a slot never stabilized): it
-    // is no longer a complete record of (rv_, now], so the exact walk
-    // decides. Counted, and traced so ring-sizing regressions show up.
-    st.sig_ring_overflows++;
-    obs::trace_sig_fallback(read_set_size(), static_cast<uint32_t>(rv_));
-    *culprit = validate_read_set();
-    return *culprit == nullptr;
-  }
-  // Signature hit => abort (a Bloom false positive is just a wasted retry,
-  // never a safety issue). Two pieces of cold-path bookkeeping before the
-  // throw: classify the hit against the exact walk so false aborts are
-  // observable, and raise the shared clock over the offending stamp so the
-  // retry's fresh snapshot filters that ring entry out instead of re-
-  // hitting it — without this, a persistent Bloom collision with a GV5
-  // sloppy stamp far ahead of the clock could starve the reader until the
-  // TLE backstop (which remains the hard liveness guarantee).
-  Orec* bad = validate_read_set();
-  if (bad == nullptr) st.sig_false_aborts++;
-  if (r.hit_stamp != 0) clock_catch_up(r.hit_stamp);
-  *culprit = bad;
-  return false;
+  return validate_read_set();
 }
 
 OrecValue Txn::pre_lock_version(const Orec* o) const noexcept {
@@ -423,6 +346,20 @@ void Txn::write_back() noexcept {
   }
 }
 
+uint64_t Txn::load_bits(uintptr_t addr, uint32_t size) noexcept {
+  const void* p = reinterpret_cast<const void*>(addr);
+  switch (size) {
+    case 1:
+      return detail::atomic_word_load(static_cast<const uint8_t*>(p));
+    case 2:
+      return detail::atomic_word_load(static_cast<const uint16_t*>(p));
+    case 4:
+      return detail::atomic_word_load(static_cast<const uint32_t*>(p));
+    default:
+      return detail::atomic_word_load(static_cast<const uint64_t*>(p));
+  }
+}
+
 bool Txn::writes_unchanged() const noexcept {
   for (std::size_t i = 0; i < s_.write_set.size();) {
     if (coalesce_) {
@@ -440,23 +377,7 @@ bool Txn::writes_unchanged() const noexcept {
       }
     }
     const WriteEntry& w = s_.write_set[i++];
-    const void* p = reinterpret_cast<const void*>(w.addr);
-    uint64_t cur;
-    switch (w.size) {
-      case 1:
-        cur = detail::atomic_word_load(static_cast<const uint8_t*>(p));
-        break;
-      case 2:
-        cur = detail::atomic_word_load(static_cast<const uint16_t*>(p));
-        break;
-      case 4:
-        cur = detail::atomic_word_load(static_cast<const uint32_t*>(p));
-        break;
-      default:
-        cur = detail::atomic_word_load(static_cast<const uint64_t*>(p));
-        break;
-    }
-    if (cur != w.value) return false;
+    if (load_bits(w.addr, w.size) != w.value) return false;
   }
   return true;
 }
@@ -482,61 +403,12 @@ void Txn::commit() {
   if (s_.write_set.empty()) {
     // Read-only transactions are already serializable at rv_: every load
     // validated its orec against rv_ at read time (lock mode reads memory
-    // directly under exclusion). No lock, no clock bump, no signature work.
+    // directly under exclusion). No lock, no clock bump.
     committed_ = true;
     return;
   }
-  // Signature-backend visibility (valring.hpp): park the write signature in
-  // this thread's in-flight slot BEFORE the first orec-lock CAS and keep it
-  // there until AFTER the locks are released — the in-flight window must
-  // strictly cover the lock window so a scan that misses the (not yet
-  // published) commit stamp still sees the writer, mirroring the exact
-  // walk's "locked => conflict". The guard ends the window on every exit,
-  // including the abort throws below and a mid-acquire give-up.
-  SigSet write_sig;
-  struct InflightScope {
-    bool active = false;
-    ~InflightScope() {
-      if (active) sigring::end_inflight();
-    }
-  } inflight;
-  // Single-orec write sets (the common case) use the ring's precise
-  // representation: no signature to build or copy, and scans match them on
-  // both hash bits instead of any shared bit.
-  const bool sig_single = sig_mode_ && s_.locked.size() == 1;
-  const uint64_t sig_single_idx =
-      sig_single ? static_cast<uint64_t>(s_.locked[0].orec - orec_table_) : 0;
-  if (sig_mode_) {
-    if (sig_single) {
-      sigring::begin_inflight_single(sig_single_idx);
-    } else {
-      for (const LockedOrec& l : s_.locked) {
-        write_sig.add(static_cast<uint64_t>(l.orec - orec_table_));
-      }
-      sigring::begin_inflight(write_sig);
-    }
-    inflight.active = true;
-  }
   if (lock_mode_) {
-    // Under the TLE lock the transaction is exclusive; apply the buffered
-    // stores through the orec-bumping path so doomed speculative readers
-    // observe the conflict. The ring entry carries the largest stamp the
-    // block released (per-orec stamps differ) and is published after the
-    // per-orec releases — sound here because the in-flight window stays
-    // open across that gap, closing only after the publish.
-    uint64_t max_wv = 0;
-    for (const WriteEntry& w : s_.write_set) {
-      const uint64_t wv =
-          lock_mode_store(reinterpret_cast<void*>(w.addr), w.value, w.size);
-      if (wv > max_wv) max_wv = wv;
-    }
-    if (inflight.active && max_wv != 0) {
-      if (sig_single) {
-        sigring::publish_single(sig_single_idx, max_wv);
-      } else {
-        sigring::publish(write_sig, max_wv);
-      }
-    }
+    commit_lock_mode();
     committed_ = true;
     return;
   }
@@ -562,11 +434,8 @@ void Txn::commit() {
     const uint64_t now = global_clock().load(std::memory_order_acquire);
     const bool provably_unchanged = clock_policy_ == ClockPolicy::kGv1 &&
                                     now == rv_ && max_prev_ <= rv_;
-    Orec* bad = nullptr;
-    if (provably_unchanged || validate_reads(&bad)) {
-      // Silent commits publish nothing: memory is unchanged and the locks
-      // roll back to their previous versions, so there is no write for any
-      // reader to miss.
+    Orec* const bad = provably_unchanged ? nullptr : validate_reads();
+    if (bad == nullptr) {
       rollback_locks();  // restore pre-lock orec versions; nothing changed
       committed_ = true;
       return;
@@ -583,8 +452,7 @@ void Txn::commit() {
   const ClockStamp stamp =
       writer_stamp(clock_policy_, rv_, max_prev_, my_token_);
   if (!stamp.read_set_unchanged) {
-    Orec* bad = nullptr;
-    if (!validate_reads(&bad)) {
+    if (Orec* const bad = validate_reads()) {
       rollback_locks();
       last_abort_ = AbortCode::kConflict;
       conflict_orec_ = bad;
@@ -592,58 +460,33 @@ void Txn::commit() {
     }
   }
   write_back();
-  // Publish-before-release (valring.hpp): once an orec is released to
-  // stamp.wv, any reader that observes that version also finds this ring
-  // entry, so signature validation never misses a completed commit.
-  if (inflight.active) {
-    if (sig_single) {
-      sigring::publish_single(sig_single_idx, stamp.wv);
-    } else {
-      sigring::publish(write_sig, stamp.wv);
-    }
-  }
   release_locks_to(stamp.wv);
   local_stats().writer_commits++;
   committed_ = true;
 }
 
-uint64_t Txn::lock_mode_store(void* addr, uint64_t bits,
-                              uint32_t size) noexcept {
-  // Under the TLE lock, stores still go through the word's orec so that
-  // doomed concurrent transactions observe the conflict (strong atomicity).
-  Orec& o = orec_for(addr);
-  const OrecValue mine = make_locked(my_token_);
-  util::Backoff backoff(2, 64);
-  OrecValue cur = o.value.load(std::memory_order_relaxed);
-  for (;;) {
-    if (!orec_is_locked(cur) &&
-        o.value.compare_exchange_weak(cur, mine, std::memory_order_acq_rel)) {
-      break;
+void Txn::commit_lock_mode() {
+  // The TLE lock keeps every other transaction out, so only strong-
+  // atomicity stores (nontxn_store/nontxn_cas, range invalidation) can race
+  // this block. Lock the written orecs first: from here on none of the
+  // written words can change, and a read word that still holds the value
+  // this block saw makes the commit serializable at this instant (value
+  // validation, as in NOrec). A changed read aborts; the block retries
+  // under the lock.
+  acquire_write_locks();
+  for (const LockRead& r : s_.lock_reads) {
+    if (load_bits(r.addr, r.size) != r.value) {
+      rollback_locks();
+      last_abort_ = AbortCode::kConflict;
+      conflict_orec_ = &orec_table_[orec_index(r.addr, granularity_log2_)];
+      throw TxnAbort{AbortCode::kConflict};
     }
-    backoff.pause();
-    cur = o.value.load(std::memory_order_relaxed);
   }
-  switch (size) {
-    case 1:
-      detail::atomic_word_store(static_cast<uint8_t*>(addr),
-                                static_cast<uint8_t>(bits));
-      break;
-    case 2:
-      detail::atomic_word_store(static_cast<uint16_t*>(addr),
-                                static_cast<uint16_t>(bits));
-      break;
-    case 4:
-      detail::atomic_word_store(static_cast<uint32_t*>(addr),
-                                static_cast<uint32_t>(bits));
-      break;
-    default:
-      detail::atomic_word_store(static_cast<uint64_t*>(addr), bits);
-      break;
-  }
-  const ClockStamp stamp =
-      writer_stamp(clock_policy_, rv_, orec_version(cur), my_token_);
-  o.value.store(make_version(stamp.wv), std::memory_order_release);
-  return stamp.wv;
+  write_back();
+  // Releasing at a fresh version dooms speculative readers that sampled
+  // the written words before the lock was taken.
+  release_locks_to(
+      writer_stamp(clock_policy_, rv_, max_prev_, my_token_).wv);
 }
 
 }  // namespace dc::htm

@@ -58,7 +58,6 @@
 #include "sched/checkpoint.hpp"
 #include "htm/crash.hpp"
 #include "htm/orec.hpp"
-#include "htm/sigset.hpp"
 #include "util/asan.hpp"
 #include "util/small_vector.hpp"
 
@@ -143,7 +142,13 @@ class Txn {
       if (i < s_.write_set.size() && s_.write_set[i].addr == a) {
         return detail::from_bits<T>(s_.write_set[i].value);
       }
-      return detail::atomic_word_load(addr);
+      // The TLE lock excludes other transactions but not strong-atomicity
+      // stores; remember the value so a writing commit can check that none
+      // landed on it in between (commit_lock_mode).
+      const T value = detail::atomic_word_load(addr);
+      s_.lock_reads.push_back(
+          LockRead{a, detail::to_bits(value), static_cast<uint32_t>(sizeof(T))});
+      return value;
     }
     maybe_fault();
     maybe_yield();
@@ -313,6 +318,11 @@ class Txn {
     void* p;
     std::size_t bytes;
   };
+  struct LockRead {
+    uintptr_t addr;
+    uint64_t value;
+    uint32_t size;
+  };
 
   // Per-thread scratch reused across attempts: the read/write/lock buffers
   // (inline small-buffer storage; no allocation in the steady state) and the
@@ -335,11 +345,8 @@ class Txn {
     // inserted; `previous` is filled in by acquire_write_locks().
     util::SmallVector<LockedOrec, 40> locked;
     util::SmallVector<AbortHook, 8> abort_hooks;
-    // Read-orec Bloom signature (ValidationPolicy::kSignature only). Unlike
-    // the dedup filter it cannot be epoch-cleared — Bloom bits are
-    // OR-accumulated with no per-slot stamp to invalidate — so attempts in
-    // sig mode memset it on begin (512 bytes; exact mode never touches it).
-    SigSet read_sig;
+    // Values lock-mode loads returned (lock mode only).
+    util::SmallVector<LockRead, 32> lock_reads;
     FilterSlot filter[kFilterSize] = {};
     uint64_t epoch = 0;
 
@@ -363,9 +370,6 @@ class Txn {
     slot.orec = o;
     slot.epoch = epoch_;
     s_.read_set.push_back(o);
-    if (sig_mode_) {
-      s_.read_sig.add(static_cast<uint64_t>(o - orec_table_));
-    }
   }
 
   // Index of the first write-set entry with address >= a (the write set is
@@ -463,6 +467,8 @@ class Txn {
   void rollback_locks() noexcept;
   void write_back() noexcept;
   bool writes_unchanged() const noexcept;
+  // The current contents of the `size`-byte word at `addr`, zero-extended.
+  static uint64_t load_bits(uintptr_t addr, uint32_t size) noexcept;
   // Length of the coalescable run starting at write-set index i (entries
   // exactly tiling one aligned 8-byte word), with the packed word value in
   // *packed; 1 when no coalescing applies.
@@ -472,19 +478,14 @@ class Txn {
   Orec* validate_read_set() const noexcept;
   OrecValue pre_lock_version(const Orec* o) const noexcept;
 
-  // Validation dispatcher over Config::validation: exact mode runs the
-  // read-set walk; sig mode scans the commit-signature ring (falling back
-  // to the walk on ring wrap) and maintains the sig_* counters. Returns
-  // true when the read set is valid at rv_; on false, *culprit carries the
-  // failing orec when the exact walk identified one (nullptr for a pure
-  // signature hit). Used by commit() and try_extend(); wrapped with the
-  // kValidate latency probe in DC_TRACE builds.
-  bool validate_reads(Orec** culprit) noexcept;
-  bool validate_reads_impl(Orec** culprit) noexcept;
+  // validate_read_set() wrapped with the kValidate latency probe in
+  // DC_TRACE builds. Used by commit() and try_extend().
+  Orec* validate_reads() const noexcept;
 
-  // Returns the stamp the orec was released to (for the sig-mode ring
-  // publish, which wants the maximum across the block's stores).
-  uint64_t lock_mode_store(void* addr, uint64_t bits, uint32_t size) noexcept;
+  // Lock-mode commit of a non-empty write set: locks the written orecs,
+  // aborts with kConflict if a strong-atomicity store changed a value this
+  // block read, then writes back and releases like a speculative commit.
+  void commit_lock_mode();
 
   uint64_t rv_;              // read version (TL2)
   const uint64_t my_token_;  // lock ownership token
@@ -498,10 +499,6 @@ class Txn {
   const ClockPolicy clock_policy_;
   const bool extension_enabled_;
   const bool coalesce_;
-  // Validation-backend snapshot (Config::validation /
-  // Config::validation_crosscheck at attempt begin).
-  const bool sig_mode_;
-  const bool sig_crosscheck_;
   const bool lock_mode_;
   bool committed_ = false;
   // Abort forensics, read by the destructor's obs hooks: the code of the

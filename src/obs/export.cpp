@@ -231,15 +231,6 @@ bool export_chrome_trace(const std::string& path) {
                      "\"owner_tid\": %u}}",
                      to_us(e.tsc, t0), e.tid, e.a, e.b);
         break;
-      case EventKind::kSigFallback:
-        sep();
-        std::fprintf(f,
-                     "{\"name\": \"sig_fallback\", \"cat\": \"htm\", "
-                     "\"ph\": \"i\", \"s\": \"t\", \"ts\": %.3f, \"pid\": 0, "
-                     "\"tid\": %u, \"args\": {\"read_set\": %u, "
-                     "\"rv\": %u}}",
-                     to_us(e.tsc, t0), e.tid, e.a, e.b);
-        break;
       case EventKind::kPoolAlloc:
       case EventKind::kPoolRecycle:
         sep();

@@ -172,8 +172,7 @@ class LogHistogram {
 // The first four are timed at driver level (whole DynamicCollect calls,
 // including retries); kCommit is the Txn::commit duration of committing
 // speculative attempts, and kValidate one read-set validation (commit-time
-// or extension, exact walk or signature scan — same buckets, so the
-// backends' crossover is directly visible). Both DC_TRACE builds only.
+// or extension). Both DC_TRACE builds only.
 enum class OpKind : uint8_t {
   kRegister = 0,
   kUpdate,

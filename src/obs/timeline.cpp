@@ -25,10 +25,6 @@ CounterSample diff(const CounterSample& cur, const CounterSample& prev) {
   d.storm_exits = sub(cur.storm_exits, prev.storm_exits);
   d.lock_recoveries = sub(cur.lock_recoveries, prev.lock_recoveries);
   d.orphans_reaped = sub(cur.orphans_reaped, prev.orphans_reaped);
-  d.sig_validations = sub(cur.sig_validations, prev.sig_validations);
-  d.sig_false_aborts = sub(cur.sig_false_aborts, prev.sig_false_aborts);
-  d.sig_ring_overflows =
-      sub(cur.sig_ring_overflows, prev.sig_ring_overflows);
   d.sessions_shed = sub(cur.sessions_shed, prev.sessions_shed);
   d.chaos_phases = sub(cur.chaos_phases, prev.chaos_phases);
   d.pool_allocations = sub(cur.pool_allocations, prev.pool_allocations);
@@ -97,7 +93,6 @@ void annotate(State& s, const Window& w) {
       {Annotation::kStormExit, w.delta.storm_exits},
       {Annotation::kLockRecovery, w.delta.lock_recoveries},
       {Annotation::kOrphanReap, w.delta.orphans_reaped},
-      {Annotation::kSigSaturation, w.delta.sig_ring_overflows},
       {Annotation::kThreadCrash, w.delta.crashes_injected},
       {Annotation::kShedOnset, w.delta.sessions_shed},
       {Annotation::kChaosPhase, w.delta.chaos_phases},
@@ -252,8 +247,6 @@ const char* to_string(Annotation kind) noexcept {
       return "lock_recovery";
     case Annotation::kOrphanReap:
       return "orphan_reap";
-    case Annotation::kSigSaturation:
-      return "sig_saturation";
     case Annotation::kThreadCrash:
       return "thread_crash";
     case Annotation::kShedOnset:
@@ -486,12 +479,6 @@ bool export_prometheus(const std::string& path) {
        c.lock_recoveries},
       {"dc_orphans_reaped_total", "Orphaned handles reaped",
        c.orphans_reaped},
-      {"dc_sig_validations_total", "Signature-backend validations",
-       c.sig_validations},
-      {"dc_sig_false_aborts_total", "Bloom false-positive aborts",
-       c.sig_false_aborts},
-      {"dc_sig_ring_overflows_total", "Signature-ring exact fallbacks",
-       c.sig_ring_overflows},
       {"dc_sessions_shed_total", "Service sessions shed at admission",
        c.sessions_shed},
       {"dc_chaos_phases_total", "Chaos phases applied", c.chaos_phases},

@@ -17,11 +17,11 @@
 //
 // stored in a bounded ring (oldest windows overwritten; drops counted). On
 // top of the deltas a phase detector emits annotated timeline events —
-// storm onset/exit, lock recovery, orphan-reap bursts, signature-filter
-// saturation, injected thread deaths — whose per-kind value sums equal the
-// run's cumulative counters (each annotation carries the window's delta),
-// so the timeline is an exact decomposition of the post-mortem numbers,
-// not a lossy sketch. SLO targets (obs/slo.hpp) are evaluated per window
+// storm onset/exit, lock recovery, orphan-reap bursts, injected thread
+// deaths, shedding and memory-pressure edges — whose per-kind value sums
+// equal the run's cumulative counters (each annotation carries the
+// window's delta), so the timeline is an exact decomposition of the
+// post-mortem numbers, not a lossy sketch. SLO targets (obs/slo.hpp) are evaluated per window
 // as they close.
 //
 // Layering: obs deliberately does not depend on htm, so the sampler pulls
@@ -63,9 +63,6 @@ struct CounterSample {
   uint64_t storm_exits = 0;
   uint64_t lock_recoveries = 0;
   uint64_t orphans_reaped = 0;
-  uint64_t sig_validations = 0;
-  uint64_t sig_false_aborts = 0;
-  uint64_t sig_ring_overflows = 0;
   // Service-tier counters (src/service). Zero outside service runs: the
   // default htm-only provider never sets them, so closed-loop reports stay
   // byte-identical in shape and the validator can enforce all-zero when no
@@ -115,8 +112,8 @@ struct Window {
 // `value` is the window's delta of the kind's counter, so the per-kind sum
 // over all events equals the cumulative counter (storm_onset ->
 // storm_entries, storm_exit -> storm_exits, lock_recovery ->
-// lock_recoveries, orphan_reap -> orphans_reaped, sig_saturation ->
-// sig_ring_overflows, thread_crash -> crashes_injected, shed_onset ->
+// lock_recoveries, orphan_reap -> orphans_reaped, thread_crash ->
+// crashes_injected, shed_onset ->
 // sessions_shed, chaos_phase -> chaos_phases) whenever no events were
 // dropped.
 enum class Annotation : uint8_t {
@@ -124,7 +121,6 @@ enum class Annotation : uint8_t {
   kStormExit,
   kLockRecovery,
   kOrphanReap,
-  kSigSaturation,
   kThreadCrash,
   kShedOnset,
   kChaosPhase,

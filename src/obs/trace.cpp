@@ -158,8 +158,6 @@ const char* to_string(EventKind kind) noexcept {
       return "lock_recovery";
     case EventKind::kOrphanReap:
       return "orphan_reap";
-    case EventKind::kSigFallback:
-      return "sig_fallback";
     case EventKind::kNumKinds:
       break;
   }

@@ -43,8 +43,6 @@ enum class EventKind : uint8_t {
                    // dying attempt held the TLE lock
   kLockRecovery,   // a = dead owner's dense tid, b = owner epoch (low 32)
   kOrphanReap,     // a = handles reaped, b = dead owner's dense tid
-  kSigFallback,    // a = read-set size, b = read version (low 32 bits) at a
-                   // signature-validation fallback to the exact walk
   kNumKinds,
 };
 
@@ -224,19 +222,6 @@ inline void trace_orphan_reap([[maybe_unused]] uint32_t count,
 #if defined(DC_TRACE)
   if (tracing_enabled()) {
     detail::emit(EventKind::kOrphanReap, 0, count, owner_tid, 0);
-  }
-#endif
-}
-
-// A signature validation (ValidationPolicy::kSignature) could not be
-// decided from the commit-signature ring — wrap past the snapshot, an
-// unstable slot, or a thread without an in-flight slot — and fell back to
-// the exact read-set walk (htm/valring.hpp).
-inline void trace_sig_fallback([[maybe_unused]] uint32_t read_set,
-                               [[maybe_unused]] uint32_t rv_low) noexcept {
-#if defined(DC_TRACE)
-  if (tracing_enabled()) {
-    detail::emit(EventKind::kSigFallback, 0, read_set, rv_low, 0);
   }
 #endif
 }

@@ -98,7 +98,11 @@ class Engine {
   uint32_t n_;
   Rng rng_;
   std::vector<std::unique_ptr<Slot>> slots_;
+  // A finished worker hands the baton to the main thread, which joins it
+  // before waking `exit_next_` (see run_all).
   std::binary_semaphore main_go_{0};
+  uint32_t exited_ = 0;
+  uint32_t exit_next_ = 0;
   Trace trace_;
   uint64_t steps_ = 0;
   bool exhausted_ = false;
@@ -288,12 +292,9 @@ void Engine::worker_main(uint32_t idx) {
     me.error = std::current_exception();
   }
   t_ctx = nullptr;
-  const uint32_t next = on_exit(idx);
-  if (next == kNoThread) {
-    main_go_.release();
-  } else {
-    slots_[next]->go.release();
-  }
+  exit_next_ = on_exit(idx);
+  exited_ = idx;
+  main_go_.release();
 }
 
 void Engine::hard_abort(uint32_t self, Kind k) {
@@ -317,9 +318,23 @@ RunResult Engine::run_all() {
   for (uint32_t i = 0; i < n_; ++i) {
     slots_[i]->os = std::thread([this, i] { worker_main(i); });
   }
+  // The baton passes through this thread at every worker exit: joining the
+  // finished worker first means its thread_local destructors (the dense
+  // thread id release among them) have all run before the next worker
+  // takes a step, instead of racing it on the host's timing. Whether a dead
+  // worker's id is free when its successor claims one decides whether the
+  // successor still sees a crash in the world, and so which checkpoints it
+  // reaches.
   slots_[0]->go.release();
-  main_go_.acquire();
-  for (uint32_t i = 0; i < n_; ++i) slots_[i]->os.join();
+  for (;;) {
+    main_go_.acquire();
+    slots_[exited_]->os.join();
+    if (exit_next_ == kNoThread) break;
+    slots_[exit_next_]->go.release();
+  }
+  for (uint32_t i = 0; i < n_; ++i) {
+    if (slots_[i]->os.joinable()) slots_[i]->os.join();
+  }
   g_current.store(nullptr);
   for (uint32_t i = 0; i < n_; ++i) {
     if (slots_[i]->error) std::rethrow_exception(slots_[i]->error);

@@ -32,10 +32,6 @@ Options Options::parse(int argc, char** argv) {
       opts.trace_path = next_value();
     } else if (std::strcmp(arg, "--clock") == 0) {
       opts.clock = next_value();
-    } else if (std::strcmp(arg, "--retry") == 0) {
-      opts.retry = next_value();
-    } else if (std::strcmp(arg, "--validate") == 0) {
-      opts.validate = next_value();
     } else if (std::strcmp(arg, "--fault-rate") == 0) {
       opts.fault_rate = std::atof(next_value());
     } else if (std::strcmp(arg, "--crash-rate") == 0) {
@@ -132,8 +128,8 @@ Options Options::parse(int argc, char** argv) {
 void Options::print_help(const char* prog) {
   std::printf(
       "usage: %s [--csv] [--json PATH] [--trace PATH] [--clock gv1|gv5] "
-      "[--retry cause|fixed] [--validate exact|sig] [--fault-rate P] "
-      "[--crash-rate P] [--mem-limit BYTES[k|m|g]] [--alloc-fault-rate P] "
+      "[--fault-rate P] [--crash-rate P] [--mem-limit BYTES[k|m|g]] "
+      "[--alloc-fault-rate P] "
       "[--sample-interval MS] [--slo SPEC] "
       "[--metrics-out PATH] [--slo-observe] [--arrival-rate R] "
       "[--burstiness B] [--chaos PATH] [--workers N] [--queue-capacity N] "

@@ -16,10 +16,6 @@
 //                     -DDC_TRACE=ON build
 //   --clock POLICY    global-clock policy: gv5 (sloppy, default) or gv1
 //                     (shared fetch_add reference)
-//   --retry POLICY    retry policy: cause (cause-aware triage, default) or
-//                     fixed (legacy fixed-threshold backoff)
-//   --validate MODE   conflict-validation backend: exact (read-set walk,
-//                     default) or sig (Bloom signatures + commit ring)
 //   --fault-rate P    inject Rock-style spurious aborts into a fraction P of
 //                     transaction attempts (0..1, default 0 = off); benches
 //                     use this to demonstrate graceful degradation, never
@@ -79,9 +75,6 @@ struct Options {
   std::string json_path;   // empty = no JSON report
   std::string trace_path;  // empty = no Chrome trace dump
   std::string clock;       // empty = keep the process default (gv5/DC_CLOCK)
-  std::string retry;       // empty = keep the process default (cause/DC_RETRY)
-  std::string validate;    // empty = keep the process default
-                           // (exact/DC_VALIDATE)
   double fault_rate = -1.0;  // negative = keep the process default (DC_FAULT)
   double crash_rate = -1.0;  // negative = keep the process default (DC_CRASH)
   // ~0 = keep the process default (DC_MEM); 0 = explicitly unbounded.

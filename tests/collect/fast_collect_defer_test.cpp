@@ -167,16 +167,21 @@ TEST(FastCollectSerialized, StarvedCollectFallsBackToLockAndCompletes) {
       }
     });
     list.set_step_size(4);  // many transactions per collect: maximal churn
+    // At least 50 Collects, then keep going until the churner has forced a
+    // restart or a serialization: the spec does not promise one within any
+    // fixed count (a loaded host can deschedule the churner through all of
+    // them), so the bound is only a hang guard, like the sibling eager test.
     std::vector<Value> out;
-    for (int i = 0; i < 50; ++i) {
+    for (int i = 0;
+         i < 50 || (i < 100000 &&
+                    list.serialized_collects() + list.restarts() == 0);
+         ++i) {
       list.collect(out);  // must terminate despite endless churn
       std::set<Value> s(out.begin(), out.end());
       for (Value v = 100; v < 140; ++v) ASSERT_TRUE(s.count(v)) << v;
     }
     stop.store(true);
     churner.join();
-    // Under this much churn at least one collect should have serialized
-    // (not guaranteed by spec, but by construction of this workload).
     EXPECT_GT(list.serialized_collects() + list.restarts(), 0u);
     for (Handle h : stable) list.deregister(h);
   }

@@ -10,7 +10,8 @@
 //  * per-orec versions are strictly monotone across visible writes, even
 //    when the policy is switched between runs.
 // Plus the cost model the policies exist for: GV1 pays one fetch_add per
-// visible writing commit, GV5 pays none.
+// visible writing commit, GV5 pays none — and, under the deterministic
+// scheduler, the two policies admit identical effects.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +21,14 @@
 
 #include "htm/clock.hpp"
 #include "htm/htm.hpp"
+
+#if defined(DC_SCHED)
+#include <functional>
+
+#include "sched/sched.hpp"
+#include "tests/support/sched_harness.hpp"
+#include "util/rng.hpp"
+#endif
 
 namespace dc::htm {
 namespace {
@@ -55,10 +64,8 @@ TEST(ClockPolicyGv5, ResampleAbsorbsSloppyVersionAheadOfClock) {
   // Deterministic single-thread reproduction of the absorb path: a sloppy
   // stamp leaves an orec version the shared clock has not covered; a reader
   // that trips over it must re-sample and succeed instead of aborting. The
-  // store lands after the transaction begins: the signature backend absorbs
-  // the newest ring stamp at begin (DESIGN.md §11), so a stamp published
-  // before begin is already inside the snapshot and would never need the
-  // mid-transaction absorb this test pins.
+  // store lands after the transaction begins, so the absorb happens
+  // mid-transaction.
   const Config saved = config();
   config().clock_policy = ClockPolicy::kGv5;
   reset_stats();
@@ -206,6 +213,76 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ClockPolicy>& info) {
       return std::string(to_string(info.param));
     });
+
+#if defined(DC_SCHED)
+
+// Invariant-pair stress on fixed static words (stable orec indices across
+// runs): x and y move together, a churn array adds unrelated writers, and
+// read-only blocks audit x == y. Every op retries to commit, so the final
+// state is a pure function of the operation streams.
+struct PairState {
+  uint64_t x = 0;
+  uint64_t y = 0;
+  uint64_t churn[512] = {};
+  uint64_t mismatches = 0;
+};
+
+void pair_op(PairState& st, util::Xoshiro256& rng) {
+  const uint64_t dice = rng.next_below(10);
+  if (dice < 5) {
+    atomic([&](Txn& t) {
+      const uint64_t vx = t.load(&st.x);
+      const uint64_t vy = t.load(&st.y);
+      if (vx != vy) ++st.mismatches;
+      t.store(&st.x, vx + 1);
+      t.store(&st.y, vy + 1);
+    });
+  } else if (dice < 8) {
+    const uint64_t i = rng.next_below(512);
+    atomic([&](Txn& t) { t.store(&st.churn[i], t.load(&st.churn[i]) + 1); });
+  } else {
+    atomic([&](Txn& t) {
+      if (t.load(&st.x) != t.load(&st.y)) ++st.mismatches;
+    });
+  }
+}
+
+TEST(ClockPolicyScheduled, Gv1AndGv5AdmitIdenticalEffects) {
+  // Same operation streams under both clocks: schedules differ (checkpoint
+  // sequences depend on the abort pattern), admitted effects must not.
+  static PairState st;
+  const Config saved = config();
+  uint64_t x[2] = {};
+  const ClockPolicy clocks[2] = {ClockPolicy::kGv1, ClockPolicy::kGv5};
+  for (int c = 0; c < 2; ++c) {
+    SCOPED_TRACE(to_string(clocks[c]));
+    config() = saved;
+    config().clock_policy = clocks[c];
+    reset_stats();
+    reset_storm_sites();
+    st = PairState{};
+    std::vector<std::function<void()>> bodies;
+    for (uint64_t t = 0; t < 3; ++t) {
+      bodies.push_back([t] {
+        util::Xoshiro256 rng(5 * 1000003 + t * 7919 + 101);
+        for (int op = 0; op < 25; ++op) pair_op(st, rng);
+      });
+    }
+    sched::Options o;
+    o.seed = 5;
+    o.policy = sched::Policy::kPct;
+    o.name = "clock_differential";
+    schedtest::run_scheduled(std::move(o), std::move(bodies));
+    EXPECT_EQ(st.mismatches, 0u);
+    EXPECT_EQ(st.x, st.y);
+    x[c] = st.x;
+  }
+  EXPECT_EQ(x[0], x[1]) << "clock policy changed the admitted effects";
+  config() = saved;
+  reset_storm_sites();
+}
+
+#endif  // DC_SCHED
 
 }  // namespace
 }  // namespace dc::htm

@@ -30,15 +30,17 @@ class RetryPolicyTest : public ::testing::Test {
   Config saved_;
 };
 
+// Nothing parses the policy names any more: the options that took them went
+// with the fixed retry policy and signature validation. The names remain
+// for perfbench's `policies` meta line, which prints the configured ones.
 TEST_F(RetryPolicyTest, ParseAndNames) {
-  RetryPolicy p = RetryPolicy::kFixed;
-  EXPECT_TRUE(parse_retry_policy("cause", p));
-  EXPECT_EQ(p, RetryPolicy::kCauseAware);
-  EXPECT_TRUE(parse_retry_policy("fixed", p));
-  EXPECT_EQ(p, RetryPolicy::kFixed);
-  EXPECT_FALSE(parse_retry_policy("bogus", p));
   EXPECT_STREQ(to_string(RetryPolicy::kCauseAware), "cause");
-  EXPECT_STREQ(to_string(RetryPolicy::kFixed), "fixed");
+  EXPECT_STREQ(to_string(config().retry_policy), "cause");
+}
+
+TEST(ValidationPolicyNames, ParseAndFormatRoundTrip) {
+  EXPECT_STREQ(to_string(ValidationPolicy::kExact), "exact");
+  EXPECT_STREQ(to_string(config().validation), "exact");
 }
 
 TEST_F(RetryPolicyTest, OverflowEscalatesAfterOneAbortUnderCauseAware) {
@@ -46,7 +48,6 @@ TEST_F(RetryPolicyTest, OverflowEscalatesAfterOneAbortUnderCauseAware) {
   // it speculatively can only overflow again. The cause-aware policy takes
   // the lock after the first overflow instead of burning the whole
   // tle_after_aborts budget.
-  config().retry_policy = RetryPolicy::kCauseAware;
   config().store_buffer_capacity = 2;
   config().tle_after_aborts = 64;
   std::vector<uint64_t> words(8, 0);
@@ -60,26 +61,10 @@ TEST_F(RetryPolicyTest, OverflowEscalatesAfterOneAbortUnderCauseAware) {
   EXPECT_EQ(s.lock_fallbacks, 1u);
 }
 
-TEST_F(RetryPolicyTest, OverflowBurnsFullThresholdUnderFixed) {
-  // The legacy policy treats every cause alike: tle_after_aborts failed
-  // attempts before the lock, overflow included.
-  config().retry_policy = RetryPolicy::kFixed;
-  config().store_buffer_capacity = 2;
-  config().tle_after_aborts = 6;
-  std::vector<uint64_t> words(8, 0);
-  atomic([&](Txn& txn) {
-    for (auto& w : words) txn.store(&w, uint64_t{1});
-  });
-  const TxnStats s = aggregate_stats();
-  EXPECT_EQ(s.aborts_by_code[static_cast<int>(AbortCode::kOverflow)], 6u);
-  EXPECT_EQ(s.tle_entries, 1u);
-}
-
 TEST_F(RetryPolicyTest, SpuriousAbortsRetrySpeculativelyWithoutEscalating) {
   // Three scripted transient faults, then a clean attempt: the cause-aware
   // policy must keep the block speculative (the budget is generous) and
   // never touch the lock.
-  config().retry_policy = RetryPolicy::kCauseAware;
   config().tle_after_aborts = 64;
   fault::set_script({
       {fault::kAnyThread, 0, 0, AbortCode::kInterrupt, 0},
@@ -99,7 +84,6 @@ TEST_F(RetryPolicyTest, SpuriousAbortsRetrySpeculativelyWithoutEscalating) {
 }
 
 TEST_F(RetryPolicyTest, StormEntersStickySerializedModeAndRecovers) {
-  config().retry_policy = RetryPolicy::kCauseAware;
   config().tle_after_aborts = 1000;  // keep plain escalation out of the way
   config().storm_enter_score = 8;
   config().storm_exit_score = 2;
@@ -141,7 +125,6 @@ TEST_F(RetryPolicyTest, StormEntersStickySerializedModeAndRecovers) {
 }
 
 TEST_F(RetryPolicyTest, StormDetectionCanBeDisabled) {
-  config().retry_policy = RetryPolicy::kCauseAware;
   config().tle_after_aborts = 1000;
   config().storm_detection = false;
   config().storm_enter_score = 2;  // would trip instantly if enabled
@@ -179,22 +162,6 @@ TEST_F(RetryPolicyTest, MaxConsecAbortsTracksTheWorstBlock) {
   run_with_aborts(7);  // the high-water mark
   run_with_aborts(4);
   EXPECT_EQ(aggregate_stats().max_consec_aborts, 7u);
-}
-
-TEST_F(RetryPolicyTest, FixedPolicyStillEscalatesSpuriousStorms) {
-  // Liveness backstop: even under kFixed, a 100% fault storm must complete
-  // via the lock (injection never arms lock-mode attempts).
-  config().retry_policy = RetryPolicy::kFixed;
-  config().tle_after_aborts = 4;
-  config().fault.rate = 1.0;
-  fault::reset_thread();
-  uint64_t word = 0;
-  atomic([&](Txn& txn) { txn.store(&word, uint64_t{3}); });
-  EXPECT_EQ(word, 3u);
-  const TxnStats s = aggregate_stats();
-  EXPECT_EQ(s.faults_injected, 4u);
-  EXPECT_EQ(s.tle_entries, 1u);
-  EXPECT_EQ(s.commits, 1u);
 }
 
 }  // namespace

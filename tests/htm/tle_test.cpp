@@ -32,20 +32,23 @@ TEST_F(Tle, OverflowingBlockCompletesViaLock) {
 }
 
 TEST_F(Tle, LockFallbackRecordsAborts) {
-  // Pin the legacy fixed-threshold policy: the cause-aware default
-  // escalates deterministic overflows to the lock after a single abort
-  // (covered by retry_policy_test), so the exact count of 5 burned
-  // attempts only holds under RetryPolicy::kFixed.
-  config().retry_policy = RetryPolicy::kFixed;
-  config().store_buffer_capacity = 2;
+  // Explicit aborts back off and count toward the threshold (overflows
+  // would escalate after one; see retry_policy_test), so a body that
+  // aborts every speculative attempt burns exactly tle_after_aborts of
+  // them, then completes in one lock-mode attempt.
   config().tle_after_aborts = 5;
   reset_stats();
+  reset_storm_sites();
   std::vector<uint64_t> words(8, 0);
   atomic([&](Txn& txn) {
     for (auto& w : words) txn.store(&w, uint64_t{2});
+    if (!txn.in_lock_mode()) txn.abort(AbortCode::kExplicit);
   });
+  for (const uint64_t w : words) EXPECT_EQ(w, 2u);
   const TxnStats s = aggregate_stats();
-  EXPECT_EQ(s.aborts_by_code[static_cast<int>(AbortCode::kOverflow)], 5u);
+  EXPECT_EQ(s.aborts_by_code[static_cast<int>(AbortCode::kExplicit)], 5u);
+  EXPECT_EQ(s.aborts, 5u);
+  EXPECT_EQ(s.tle_entries, 1u);
   EXPECT_EQ(s.lock_fallbacks, 1u);
 }
 
@@ -120,6 +123,25 @@ TEST_F(Tle, DisabledTleNeverTakesLock) {
     atomic([&](Txn& txn) { txn.store(&x, txn.load(&x) + 1); });
   }
   EXPECT_EQ(aggregate_stats().lock_fallbacks, 0u);
+}
+
+TEST_F(Tle, LockModeCommitCatchesInterveningStrongAtomicityStore) {
+  // The TLE lock keeps transactions out but not nontxn_cas: a lock-mode
+  // read-modify-write whose read word is CASed before commit must retry
+  // instead of overwriting the CAS (a lost update).
+  config().serialize_all = true;  // every attempt runs in lock mode
+  uint64_t counter = 5;
+  int attempts = 0;
+  atomic([&](Txn& txn) {
+    ++attempts;
+    const uint64_t v = txn.load(&counter);
+    if (attempts == 1) {
+      EXPECT_TRUE(nontxn_cas(&counter, uint64_t{5}, uint64_t{6}));
+    }
+    txn.store(&counter, v + 1);
+  });
+  EXPECT_EQ(counter, 7u);
+  EXPECT_EQ(attempts, 2);
 }
 
 TEST_F(Tle, ExplicitAbortUnderLockRetries) {

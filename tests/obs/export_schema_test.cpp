@@ -1,13 +1,13 @@
 // Validates the two exporter schemas by parsing what they write:
 //  * export_chrome_trace — Chrome trace-event JSON (Perfetto-loadable);
 //  * bench::write_json_report — the versioned --json benchmark report
-//    (schema_version 9: aborts_by_code incl. spurious causes and the v9
+//    (schema_version 10: aborts_by_code incl. spurious causes and the v9
 //    alloc-failed code, op_latency_ns incl. the validate op, conflicts,
-//    trace requested/enabled split, retry/validation policy and
+//    trace requested/enabled split, clock policy and
 //    fault-rate/crash-rate/sample-interval/slo options plus the v8
 //    slo_observe flag and the v9 mem_limit/alloc_fault_rate pair,
-//    robustness counters incl. the crash triple and the
-//    signature-validation triple, per-cause retry quantiles, the
+//    robustness counters incl. the crash triple, per-cause retry
+//    quantiles, the
 //    always-present v9 `mem` section (global pool accounting plus
 //    per-thread ledgers), and — only when the telemetry sampler ran — the
 //    timeline section, whose shape (incl. the v8 SLO episode ledger and
@@ -179,7 +179,7 @@ TEST(JsonReport, SchemaV9CarriesObsSections) {
   const auto doc = Json::parse(read_file(path));
   ASSERT_TRUE(doc.has_value()) << "report is not valid JSON";
   EXPECT_DOUBLE_EQ(field(*doc, "schema_version", Json::Type::kNumber)->number(),
-                   9.0);
+                   10.0);
   EXPECT_EQ(field(*doc, "bench", Json::Type::kString)->str(), "schema_test");
 
   const Json* options = field(*doc, "options", Json::Type::kObject);
@@ -187,9 +187,9 @@ TEST(JsonReport, SchemaV9CarriesObsSections) {
   EXPECT_FALSE(options->find("trace")->boolean());
   const std::string clock = field(*options, "clock", Json::Type::kString)->str();
   EXPECT_TRUE(clock == "gv1" || clock == "gv5") << clock;
-  const std::string retry_opt =
-      field(*options, "retry", Json::Type::kString)->str();
-  EXPECT_TRUE(retry_opt == "cause" || retry_opt == "fixed") << retry_opt;
+  // Schema 10 dropped the fixed retry and validation policies.
+  EXPECT_EQ(options->find("retry"), nullptr);
+  EXPECT_EQ(options->find("validation"), nullptr);
   field(*options, "fault_rate", Json::Type::kNumber);
   field(*options, "crash_rate", Json::Type::kNumber);
   // Telemetry off in this run: interval 0, empty SLO spec, and (checked
@@ -204,9 +204,6 @@ TEST(JsonReport, SchemaV9CarriesObsSections) {
                    0.0);
   EXPECT_DOUBLE_EQ(
       field(*options, "alloc_fault_rate", Json::Type::kNumber)->number(), 0.0);
-  const std::string validation =
-      field(*options, "validation", Json::Type::kString)->str();
-  EXPECT_TRUE(validation == "exact" || validation == "sig") << validation;
 
   // HTM counters with the per-code abort breakdown.
   const Json* htm = field(*doc, "htm", Json::Type::kObject);
@@ -215,7 +212,6 @@ TEST(JsonReport, SchemaV9CarriesObsSections) {
        {"writer_commits", "clock_bumps", "sloppy_stamps", "clock_resamples",
         "clock_catchups", "coalesced_stores", "faults_injected",
         "crashes_injected", "lock_recoveries", "orphans_reaped",
-        "sig_validations", "sig_false_aborts", "sig_ring_overflows",
         "tle_entries", "storm_entries", "storm_exits", "max_consec_aborts"}) {
     field(*htm, counter, Json::Type::kNumber);
   }
@@ -224,13 +220,7 @@ TEST(JsonReport, SchemaV9CarriesObsSections) {
   EXPECT_DOUBLE_EQ(htm->find("crashes_injected")->number(), 0.0);
   EXPECT_DOUBLE_EQ(htm->find("lock_recoveries")->number(), 0.0);
   EXPECT_DOUBLE_EQ(htm->find("orphans_reaped")->number(), 0.0);
-  // Same dormancy contract for the signature backend: this run validated
-  // through the default exact walk, so the sig triple must be exactly zero.
-  if (validation == "exact") {
-    EXPECT_DOUBLE_EQ(htm->find("sig_validations")->number(), 0.0);
-    EXPECT_DOUBLE_EQ(htm->find("sig_false_aborts")->number(), 0.0);
-    EXPECT_DOUBLE_EQ(htm->find("sig_ring_overflows")->number(), 0.0);
-  }
+  EXPECT_EQ(htm->find("sig_validations"), nullptr);
   const Json* by_code = field(*htm, "aborts_by_code", Json::Type::kObject);
   for (const char* code :
        {"none", "conflict", "overflow", "explicit", "illegal-access",
@@ -240,9 +230,7 @@ TEST(JsonReport, SchemaV9CarriesObsSections) {
 
   // Per-cause retry quantiles, with the two conflict samples we recorded.
   const Json* retry = field(*doc, "retry", Json::Type::kObject);
-  const std::string policy =
-      field(*retry, "policy", Json::Type::kString)->str();
-  EXPECT_TRUE(policy == "cause" || policy == "fixed") << policy;
+  EXPECT_EQ(retry->find("policy"), nullptr);
   const Json* by_cause = field(*retry, "by_cause", Json::Type::kObject);
   for (const char* cause :
        {"none", "conflict", "overflow", "explicit", "illegal-access",

@@ -1,9 +1,8 @@
 // The schedule-exploration battery and its CI hooks:
 //
 //  * a K-seed PCT sweep over the interleaving-sensitive protocols — TLE
-//    lock steal, lease stamp/reap, the valring publish-before-release
-//    seqlock, and GV5 catch-up against sig-ring absorption — asserting the
-//    protocol invariants on every explored schedule (DC_SCHED_SEEDS widens
+//    lock steal, lease stamp/reap, and read-set validation under the GV1
+//    and GV5 clocks — asserting the protocol invariants on every explored schedule (DC_SCHED_SEEDS widens
 //    the sweep; the CI sched-sweep leg and its nightly-scale input);
 //  * proof the sweep has teeth: a deliberately reintroduced PR 4-class
 //    dirty-read bug must be found within the CI seed budget, and the
@@ -30,7 +29,6 @@
 #include "htm/htm.hpp"
 #include "htm/retry.hpp"
 #include "htm/stats.hpp"
-#include "htm/valring.hpp"
 #include "memory/pool.hpp"
 #include "sched/sched.hpp"
 #include "sched/trace.hpp"
@@ -49,7 +47,6 @@ class SchedSweep : public ::testing::Test {
   void TearDown() override {
     htm::config() = saved_;
     htm::crash::reset_all();
-    htm::sigring::reset();
   }
   // Every swept schedule starts from the same substrate state.
   void reset_world() {
@@ -57,7 +54,6 @@ class SchedSweep : public ::testing::Test {
     htm::crash::reset_all();
     htm::reset_stats();
     htm::reset_storm_sites();
-    htm::sigring::reset();
   }
   htm::Config saved_;
 };
@@ -159,8 +155,8 @@ void run_lease_churn(Options o) {
 }
 
 // Shared invariant-pair body for the two validation workloads: x and y move
-// together inside transactions, a churn word keeps the signature ring
-// turning, and a read-only txn audits x == y. Deterministic per (seed,
+// together inside transactions, churn words add unrelated writers, and a
+// read-only txn audits x == y. Deterministic per (seed,
 // thread), single fixed addresses only.
 void validation_stress(Options o, uint64_t* out_x, uint64_t* out_pairs) {
   static uint64_t x, y, churn[8];
@@ -206,32 +202,24 @@ void validation_stress(Options o, uint64_t* out_x, uint64_t* out_pairs) {
   *out_pairs = pair_ops.load();
 }
 
-void run_valring_seqlock(Options o) {
-  // The publish-before-release seqlock: signature validation with the
-  // differential crosscheck on — any false negative (signature valid where
-  // the exact walk saw a conflict) is a soundness bug and fails here.
-  htm::config().validation = htm::ValidationPolicy::kSignature;
-  htm::config().validation_crosscheck = true;
+void run_validation_gv1(Options o) {
+  // GV1: every visible commit bumps the shared clock, so a reader's commit
+  // may skip validation only when the clock proves nothing changed.
+  htm::config().clock_policy = htm::ClockPolicy::kGv1;
   uint64_t x = 0, pairs = 0;
   validation_stress(std::move(o), &x, &pairs);
-  const htm::TxnStats agg = htm::aggregate_stats();
-  EXPECT_GT(agg.sig_validations, 0u);
-  EXPECT_EQ(htm::sigring::crosscheck_false_negatives().load(), 0u);
+  EXPECT_GT(htm::aggregate_stats().clock_bumps, 0u) << "GV1 never bumped";
 }
 
-void run_gv5_sig(Options o) {
-  // GV5 catch-up against sig-ring absorption: sloppy stamps run ahead of
-  // the shared clock, and the ring's stamp filter must still never admit a
-  // stale read set.
+void run_validation_gv5(Options o) {
+  // GV5 catch-up: sloppy stamps run ahead of the shared clock, and the
+  // readers' re-sample plus read-set walk must still never admit a stale
+  // read set.
   htm::config().clock_policy = htm::ClockPolicy::kGv5;
-  htm::config().validation = htm::ValidationPolicy::kSignature;
-  htm::config().validation_crosscheck = true;
   uint64_t x = 0, pairs = 0;
   validation_stress(std::move(o), &x, &pairs);
-  const htm::TxnStats agg = htm::aggregate_stats();
-  EXPECT_GT(agg.sig_validations, 0u);
-  EXPECT_GT(agg.sloppy_stamps, 0u) << "GV5 never took a sloppy stamp";
-  EXPECT_EQ(htm::sigring::crosscheck_false_negatives().load(), 0u);
+  EXPECT_GT(htm::aggregate_stats().sloppy_stamps, 0u)
+      << "GV5 never took a sloppy stamp";
 }
 
 TEST_F(SchedSweep, PctSeedBatteryHoldsProtocolInvariants) {
@@ -242,8 +230,8 @@ TEST_F(SchedSweep, PctSeedBatteryHoldsProtocolInvariants) {
   const Protocol protocols[] = {
       {"sweep_tle_steal", run_tle_steal},
       {"sweep_lease_churn", run_lease_churn},
-      {"sweep_valring_seqlock", run_valring_seqlock},
-      {"sweep_gv5_sig", run_gv5_sig},
+      {"sweep_validation_gv1", run_validation_gv1},
+      {"sweep_validation_gv5", run_validation_gv5},
   };
   const uint64_t seeds = schedtest::sweep_seed_count(4);
   RecordProperty("sweep_seeds", static_cast<int>(seeds));
@@ -329,9 +317,11 @@ TEST_F(SchedSweep, ReintroducedDirtyReadBugIsFoundAndReplays) {
 
 RunResult run_regression_workload(const std::string& name, Options o) {
   o.name = name;
-  if (name == "regress_conservation_gv1") {
-    htm::config().clock_policy = htm::ClockPolicy::kGv1;
-    htm::config().validation = htm::ValidationPolicy::kExact;
+  if (name == "regress_conservation_gv1" ||
+      name == "regress_conservation_gv5") {
+    htm::config().clock_policy = name == "regress_conservation_gv1"
+                                     ? htm::ClockPolicy::kGv1
+                                     : htm::ClockPolicy::kGv5;
     static uint64_t counter;
     counter = 0;
     std::vector<std::function<void()>> bodies;
@@ -346,27 +336,6 @@ RunResult run_regression_workload(const std::string& name, Options o) {
     }
     RunResult r = schedtest::run_scheduled(std::move(o), std::move(bodies));
     EXPECT_EQ(counter, 15u * (1 + 2 + 3));
-    return r;
-  }
-  if (name == "regress_conservation_gv5sig") {
-    htm::config().clock_policy = htm::ClockPolicy::kGv5;
-    htm::config().validation = htm::ValidationPolicy::kSignature;
-    htm::config().validation_crosscheck = true;
-    static uint64_t counter;
-    counter = 0;
-    std::vector<std::function<void()>> bodies;
-    for (uint64_t t = 0; t < 3; ++t) {
-      bodies.push_back([t] {
-        for (int i = 0; i < 15; ++i) {
-          htm::atomic([&](htm::Txn& txn) {
-            txn.store(&counter, txn.load(&counter) + (t + 1));
-          });
-        }
-      });
-    }
-    RunResult r = schedtest::run_scheduled(std::move(o), std::move(bodies));
-    EXPECT_EQ(counter, 15u * (1 + 2 + 3));
-    EXPECT_EQ(htm::sigring::crosscheck_false_negatives().load(), 0u);
     return r;
   }
   if (name == "regress_alloc_fault_register") {
@@ -488,7 +457,7 @@ TEST_F(SchedSweep, RecordRegressionSchedules) {
   };
   const Spec specs[] = {
       {"regress_conservation_gv1", 3},
-      {"regress_conservation_gv5sig", 5},
+      {"regress_conservation_gv5", 5},
       {"regress_dead_holder", 7},
       {"regress_alloc_fault_register", 11},
   };

@@ -15,21 +15,36 @@ import sys
 import tempfile
 
 ABORT_CODES = ("none", "conflict", "overflow", "explicit", "illegal-access",
-               "interrupt", "tlb-miss", "save-restore")
-OPS = ("register", "update", "deregister", "collect", "commit")
-OPS_V6 = OPS + ("validate",)
+               "interrupt", "tlb-miss", "save-restore", "alloc-failed")
+OPS = ("register", "update", "deregister", "collect", "commit", "validate")
+COUNTER_KEYS = ("commits", "aborts", "lock_fallbacks", "tle_entries",
+                "faults_injected", "crashes_injected", "storm_entries",
+                "storm_exits", "lock_recoveries", "orphans_reaped",
+                "sessions_shed", "chaos_phases", "pool_allocations",
+                "pool_deallocations", "pool_os_bytes", "alloc_failures",
+                "alloc_faults_injected", "pool_caches_reaped",
+                "mem_pressure_onsets", "mem_pressure_exits",
+                "sessions_shed_mem")
+ANNOTATION_KINDS = ("storm_onset", "storm_exit", "lock_recovery",
+                    "orphan_reap", "thread_crash", "shed_onset",
+                    "chaos_phase", "mem_pressure_onset", "mem_pressure_exit",
+                    "mem_shed_onset", "alloc_fault_burst")
 
 
-def good_v5_report():
-    """A minimal report carrying every field the validator checks, shaped
-    like a real clean-run bench_crash_recovery --json output."""
+def good_report():
+    """The one base fixture: a minimal schema-10 report carrying every field
+    the validator checks, shaped like a real clean, unsampled bench --json
+    output. The mem ledgers balance: one thread did ten allocations and ten
+    frees against one mapped slab. Every other fixture derives from it."""
     return {
-        "schema_version": 5,
+        "schema_version": 10,
         "bench": "self_test",
         "generated_utc": "2026-01-01T00:00:00Z",
         "options": {"duration_ms": 50, "repeats": 2, "max_threads": 4,
                     "hist": False, "trace": False, "clock": "gv5",
-                    "retry": "cause", "fault_rate": 0, "crash_rate": 0},
+                    "fault_rate": 0, "crash_rate": 0, "mem_limit": 0,
+                    "alloc_fault_rate": 0, "sample_interval_ms": 0,
+                    "slo": "", "slo_observe": False},
         "htm": {
             "commits": 1000, "aborts": 3, "abort_rate": 0.003,
             "lock_fallbacks": 1, "clock_bumps": 0, "writer_commits": 900,
@@ -43,7 +58,6 @@ def good_v5_report():
                                for c in ABORT_CODES},
         },
         "retry": {
-            "policy": "cause",
             "by_cause": {c: {"count": 0, "p50_attempt": 0.0,
                              "p99_attempt": 0.0, "max_attempt": 0}
                          for c in ABORT_CODES},
@@ -52,25 +66,25 @@ def good_v5_report():
                                "p99": 200.0, "max": 210.0, "mean": 120.0}
                           for op in OPS},
         "conflicts": {"recorded": 0, "dropped": 0, "top": []},
-        "trace": {"compiled": False, "events_emitted": 0},
+        "trace": {"compiled": False, "requested": False,
+                  "enabled": False, "events_emitted": 0},
+        "mem": {"limit_bytes": 0, "os_bytes": 65536, "live_bytes": 0,
+                "live_blocks": 0, "allocations": 10, "deallocations": 10,
+                "alloc_failures": 0, "alloc_faults_injected": 0,
+                "cache_blocks_stranded": 0, "cache_blocks_reaped": 0,
+                "mem_pressure_onsets": 0, "mem_pressure_exits": 0,
+                "alloc_fault_rate": 0,
+                "threads": [{"tid": 0, "allocations": 10,
+                             "deallocations": 10, "alloc_failures": 0,
+                             "alloc_faults_injected": 0}]},
         "columns": ["threads", "algo"],
         "rows": [[1, 2.5], [2, 4.75]],
     }
 
 
-def good_v4_report():
-    """The pre-crash schema: no crash_rate option, no crash counters."""
-    doc = good_v5_report()
-    doc["schema_version"] = 4
-    del doc["options"]["crash_rate"]
-    for key in ("crashes_injected", "lock_recoveries", "orphans_reaped"):
-        del doc["htm"][key]
-    return doc
-
-
-def injected_v5_report():
-    """A v5 report from a run with crash injection on, all counters hot."""
-    doc = good_v5_report()
+def crash_injected_report():
+    """A run with crash injection on, all three crash counters hot."""
+    doc = good_report()
     doc["options"]["crash_rate"] = 0.05
     doc["htm"]["crashes_injected"] = 11
     doc["htm"]["lock_recoveries"] = 3
@@ -78,74 +92,33 @@ def injected_v5_report():
     return doc
 
 
-def good_v6_report():
-    """The signature-validation schema: options.validation, the three sig
-    counters (all dormant on the default exact backend), and a "validate"
-    entry in op_latency_ns."""
-    doc = good_v5_report()
-    doc["schema_version"] = 6
-    doc["options"]["validation"] = "exact"
-    doc["htm"]["sig_validations"] = 0
-    doc["htm"]["sig_false_aborts"] = 0
-    doc["htm"]["sig_ring_overflows"] = 0
-    doc["op_latency_ns"] = {op: {"count": 2, "p50": 100.0, "p90": 150.0,
-                                 "p99": 200.0, "max": 210.0, "mean": 120.0}
-                            for op in OPS_V6}
-    return doc
+def counters(**kw):
+    base = dict.fromkeys(COUNTER_KEYS, 0)
+    base.update(kw)
+    return base
 
 
-def sig_v6_report():
-    """A v6 report from a --validate sig run, signature counters hot."""
-    doc = good_v6_report()
-    doc["options"]["validation"] = "sig"
-    doc["htm"]["sig_validations"] = 950
-    doc["htm"]["sig_false_aborts"] = 2
-    doc["htm"]["sig_ring_overflows"] = 1
-    return doc
-
-
-def good_v7_report():
-    """The telemetry schema with sampling OFF: the v6 shape plus the three
-    new scalars and the split trace booleans — and, critically, NO timeline
-    section (the zero-overhead guard)."""
-    doc = good_v6_report()
-    doc["schema_version"] = 7
-    doc["options"]["sample_interval_ms"] = 0
-    doc["options"]["slo"] = ""
-    doc["trace"] = {"compiled": False, "requested": False,
-                    "enabled": False, "events_emitted": 0}
-    return doc
-
-
-def sampled_v7_report():
-    """A v7 report from a sampled, stormy run: two tumbling windows whose
-    deltas telescope exactly to the htm counters, annotations whose
-    per-kind value sums decompose storm_entries/storm_exits, and one SLO
-    target with a violation."""
-    doc = good_v7_report()
+def sampled_report():
+    """A sampled, stormy run: two tumbling windows whose deltas telescope
+    exactly to the htm and mem counters, annotations whose per-kind value
+    sums decompose storm_entries/storm_exits, and one SLO target with a
+    violation."""
+    doc = good_report()
     doc["options"]["sample_interval_ms"] = 10
     doc["options"]["slo"] = "update_p99<50us"
     doc["htm"]["storm_entries"] = 2
     doc["htm"]["storm_exits"] = 1
-
-    def counters(**kw):
-        base = {k: 0 for k in
-                ("commits", "aborts", "lock_fallbacks", "tle_entries",
-                 "faults_injected", "crashes_injected", "storm_entries",
-                 "storm_exits", "lock_recoveries", "orphans_reaped",
-                 "sig_validations", "sig_false_aborts",
-                 "sig_ring_overflows")}
-        base.update(kw)
-        return base
-
     ops = {"update": {"count": 5, "p50_ns": 100.0, "p90_ns": 150.0,
                       "p99_ns": 60000.0, "p999_ns": 61000.0}}
     doc["timeline"] = {
         "sample_interval_ms": 10,
         "windows_total": 2, "windows_dropped": 0, "events_dropped": 0,
-        # The base fixture's lock_fallbacks/tle_entries predate the sampler
-        # here: counters accumulated before start() land in the baseline.
-        "baseline": counters(commits=100, lock_fallbacks=1, tle_entries=1),
+        # The base fixture's lock_fallbacks/tle_entries and pool state
+        # predate the sampler here: counters accumulated before start()
+        # land in the baseline.
+        "baseline": counters(commits=100, lock_fallbacks=1, tle_entries=1,
+                             pool_allocations=10, pool_deallocations=10,
+                             pool_os_bytes=65536),
         "windows": [
             dict(i=0, t_start_ms=0.0, t_end_ms=10.0,
                  **counters(commits=400, aborts=2, storm_entries=2),
@@ -158,71 +131,40 @@ def sampled_v7_report():
             {"t_ms": 10.0, "window": 0, "kind": "storm_onset", "value": 2},
             {"t_ms": 20.0, "window": 1, "kind": "storm_exit", "value": 1},
         ],
-        "annotation_totals": {"storm_onset": 2, "storm_exit": 1,
-                              "lock_recovery": 0, "orphan_reap": 0,
-                              "sig_saturation": 0, "thread_crash": 0},
+        "annotation_totals": dict(dict.fromkeys(ANNOTATION_KINDS, 0),
+                                  storm_onset=2, storm_exit=1),
         "slo": {"violations_total": 1, "targets": [
             {"spec": "update_p99<50us", "op": "update", "quantile": "p99",
              "bound_ns": 50000.0, "windows_evaluated": 2, "violations": 1,
              "worst_ns": 60000.0},
-        ]},
+        ], "reattainments": 0, "episodes": []},
     }
     return doc
 
 
-def clean_sampled_v7_report():
+def clean_sampled_report():
     """A sampled run with no anomalies at all (the clean smoke leg)."""
-    doc = sampled_v7_report()
+    doc = sampled_report()
     doc["htm"]["storm_entries"] = 0
     doc["htm"]["storm_exits"] = 0
     tl = doc["timeline"]
     tl["windows"][0]["storm_entries"] = 0
     tl["windows"][1]["storm_exits"] = 0
     tl["annotations"] = []
-    tl["annotation_totals"] = {k: 0 for k in tl["annotation_totals"]}
-    tl["slo"] = {"violations_total": 0, "targets": [
-        {"spec": "update_p99<50us", "op": "update", "quantile": "p99",
-         "bound_ns": 50000.0, "windows_evaluated": 2, "violations": 0,
-         "worst_ns": 200.0},
-    ]}
+    tl["annotation_totals"] = dict.fromkeys(ANNOTATION_KINDS, 0)
+    tl["slo"]["violations_total"] = 0
+    tl["slo"]["targets"][0].update(violations=0, worst_ns=200.0)
     return doc
 
 
-def v8ify(doc):
-    """Upgrades a v7 fixture to the v8 shape: the slo_observe option, the
-    service pair in every counter block, the widened annotation whitelist,
-    and the SLO episode ledger. No service section — that is bench_service's
-    alone and is added by service_v8_report."""
-    doc["schema_version"] = 8
-    doc["options"]["slo_observe"] = False
-    tl = doc.get("timeline")
-    if tl:
-        for blk in [tl["baseline"]] + tl["windows"]:
-            blk.setdefault("sessions_shed", 0)
-            blk.setdefault("chaos_phases", 0)
-        tl["annotation_totals"].setdefault("shed_onset", 0)
-        tl["annotation_totals"].setdefault("chaos_phase", 0)
-        tl["slo"].setdefault("reattainments", 0)
-        tl["slo"].setdefault("episodes", [])
-    return doc
-
-
-def good_v8_report():
-    return v8ify(good_v7_report())
-
-
-def sampled_v8_report():
-    return v8ify(sampled_v7_report())
-
-
-def service_v8_report():
-    """A v8 bench_service report from a sampled chaos run: one fault-storm
+def service_report():
+    """A bench_service report from a sampled chaos run: one fault-storm
     and one kill applied (one rate-spike never fired), 10 sessions shed,
     one worker death whose in-flight session was killed, orphan reaped,
     and the SLO violated once then re-attained. Timeline service counters
     telescope to the service totals; htm fault/crash counters are hot with
     the rate options at 0 — legal precisely because chaos phases fired."""
-    doc = sampled_v8_report()
+    doc = sampled_report()
     doc["bench"] = "service"
     doc["htm"]["faults_injected"] = 50
     doc["htm"]["crashes_injected"] = 1
@@ -257,6 +199,7 @@ def service_v8_report():
         "sessions_shed": 10, "sessions_completed": 89,
         "sessions_killed": 1, "requests": 500, "worker_deaths": 1,
         "worker_respawns": 1, "reap_batches": 1, "chaos_phases": 2,
+        "sessions_shed_mem": 0, "sessions_oom": 0,
         "phases": [
             {"spec": "@10 fault-storm rate=0.5 for=20",
              "kind": "fault-storm", "at_ms": 10, "onset_ms": 10.5,
@@ -275,90 +218,26 @@ def service_v8_report():
     return doc
 
 
-MEM_TL_KEYS = ("pool_allocations", "pool_deallocations", "pool_os_bytes",
-               "alloc_failures", "alloc_faults_injected", "pool_caches_reaped",
-               "mem_pressure_onsets", "mem_pressure_exits",
-               "sessions_shed_mem")
-MEM_ANNOTATIONS = ("mem_pressure_onset", "mem_pressure_exit",
-                   "mem_shed_onset", "alloc_fault_burst")
-
-
-def mem_section(**kw):
-    """An all-dormant mem section whose ledgers balance: one thread did ten
-    allocations and ten frees against one mapped slab."""
-    base = {"limit_bytes": 0, "os_bytes": 65536, "live_bytes": 0,
-            "live_blocks": 0, "allocations": 10, "deallocations": 10,
-            "alloc_failures": 0, "alloc_faults_injected": 0,
-            "cache_blocks_stranded": 0, "cache_blocks_reaped": 0,
-            "mem_pressure_onsets": 0, "mem_pressure_exits": 0,
-            "alloc_fault_rate": 0,
-            "threads": [{"tid": 0, "allocations": 10, "deallocations": 10,
-                         "alloc_failures": 0, "alloc_faults_injected": 0}]}
-    base.update(kw)
-    return base
-
-
-def v9ify(doc):
-    """Upgrades a v8 fixture to the v9 shape: the memory-tier options, the
-    alloc-failed abort code and retry cause, the nine memory counters in
-    every timeline counter block (cumulative pool state rides in the
-    baseline), the widened annotation whitelist, and a dormant mem
-    section. Service-section widening is squeeze/service fixtures' own."""
-    doc["schema_version"] = 9
-    doc["options"]["mem_limit"] = 0
-    doc["options"]["alloc_fault_rate"] = 0
-    doc["htm"]["aborts_by_code"]["alloc-failed"] = 0
-    doc["retry"]["by_cause"]["alloc-failed"] = {
-        "count": 0, "p50_attempt": 0.0, "p99_attempt": 0.0, "max_attempt": 0}
-    doc["mem"] = mem_section()
-    tl = doc.get("timeline")
-    if tl:
-        for blk in [tl["baseline"]] + tl["windows"]:
-            for key in MEM_TL_KEYS:
-                blk.setdefault(key, 0)
-        tl["baseline"]["pool_allocations"] = 10
-        tl["baseline"]["pool_deallocations"] = 10
-        tl["baseline"]["pool_os_bytes"] = 65536
-        for kind in MEM_ANNOTATIONS:
-            tl["annotation_totals"].setdefault(kind, 0)
-    return doc
-
-
-def good_v9_report():
-    return v9ify(good_v8_report())
-
-
-def sampled_v9_report():
-    return v9ify(sampled_v8_report())
-
-
-def injected_v9_report():
-    """A v9 report from an --alloc-fault-rate run: seeded denials were
-    injected and every one was counted as a failure, dormancy waived by
-    the nonzero rate option."""
-    doc = good_v9_report()
+def alloc_injected_report():
+    """An --alloc-fault-rate run: seeded denials were injected and every one
+    was counted as a failure, dormancy waived by the nonzero rate option."""
+    doc = good_report()
     doc["options"]["alloc_fault_rate"] = 0.05
-    doc["mem"]["alloc_fault_rate"] = 0.05
-    doc["mem"]["alloc_failures"] = 3
-    doc["mem"]["alloc_faults_injected"] = 3
-    doc["mem"]["threads"][0]["alloc_failures"] = 3
-    doc["mem"]["threads"][0]["alloc_faults_injected"] = 3
+    mem = doc["mem"]
+    mem["alloc_fault_rate"] = 0.05
+    mem["alloc_failures"] = 3
+    mem["alloc_faults_injected"] = 3
+    mem["threads"][0]["alloc_failures"] = 3
+    mem["threads"][0]["alloc_faults_injected"] = 3
     return doc
 
 
-def service_v9_report():
-    doc = v9ify(service_v8_report())
-    doc["service"]["sessions_shed_mem"] = 0
-    doc["service"]["sessions_oom"] = 0
-    return doc
-
-
-def squeeze_v9_report():
-    """A v9 bench_service report whose chaos script also ran a mem-squeeze:
+def squeeze_report():
+    """A bench_service report whose chaos script also ran a mem-squeeze:
     five sessions shed on the pool watermark during the squeeze window, one
     pressure episode opened and closed, everything telescoping through the
     timeline to the mem and service sections."""
-    doc = service_v9_report()
+    doc = service_report()
     svc = doc["service"]
     svc["chaos_script"] = "bench/chaos_mem.txt"
     svc["phases"].append(
@@ -414,6 +293,10 @@ def main():
         if code != want_code:
             failures.append(f"{label}: exit {code}, wanted {want_code}"
                             f" (stderr: {err.strip()})")
+        elif want_code == 1 and "validate_report: FAIL" not in err:
+            # A traceback also exits 1; only a diagnosed rejection counts.
+            failures.append(f"{label}: crashed instead of rejecting"
+                            f" (stderr: {err.strip()})")
         elif want_err and want_err not in err:
             failures.append(f"{label}: stderr {err.strip()!r} lacks"
                             f" {want_err!r}")
@@ -421,279 +304,256 @@ def main():
             print(f"  ok: {label}")
 
     # --- Known-good inputs must pass. ---
-    expect("good v5 clean run", good_v5_report(), 0)
-    expect("good v4 report (back-compat)", good_v4_report(), 0)
-    expect("injected v5 with --expect-crashes", injected_v5_report(), 0,
-           ["--expect-crashes"])
-    expect("injected v5 without the flag", injected_v5_report(), 0)
-    expect("good v6 exact run", good_v6_report(), 0)
-    expect("good v6 sig run", sig_v6_report(), 0)
+    expect("good clean run", good_report(), 0)
+    expect("exact --schema match", good_report(), 0, ["--schema", "10"])
+    expect("crash-injected run with --expect-crashes",
+           crash_injected_report(), 0, ["--expect-crashes"])
+    expect("crash-injected run without the flag", crash_injected_report(), 0)
+    expect("sampled stormy run", sampled_report(), 0)
+    expect("sampled clean run", clean_sampled_report(), 0)
+    expect("service chaos run with all expect flags", service_report(), 0,
+           ["--expect-service", "--expect-shed", "--expect-chaos"])
+    expect("alloc-fault run with --expect-alloc-faults",
+           alloc_injected_report(), 0, ["--expect-alloc-faults"])
+    expect("squeeze run with all expect flags", squeeze_report(), 0,
+           ["--expect-service", "--expect-chaos", "--expect-mem-squeeze"])
 
-    # --- Known-bad inputs must fail with the right diagnostic. ---
-    bad = good_v5_report()
-    bad["schema_version"] = 3
-    expect("stale schema_version", bad, 1, (), "schema_version")
+    # --- Schema version: only 10 is accepted. ---
+    bad = good_report()
+    bad["schema_version"] = 9
+    expect("older schema_version", bad, 1, (), "schema_version")
+    expect("--schema mismatch", good_report(), 1, ["--schema", "9"],
+           "--schema 9")
 
-    bad = good_v5_report()
-    del bad["htm"]["crashes_injected"]
-    expect("v5 missing a crash counter", bad, 1, (), "crashes_injected")
+    # Keys schema 10 dropped with the retry and validation policies.
+    for section, key, value in (("options", "retry", "cause"),
+                                ("options", "validation", "exact"),
+                                ("htm", "sig_validations", 0),
+                                ("retry", "policy", "cause")):
+        bad = good_report()
+        bad[section][key] = value
+        expect(f"dropped key {section}.{key} present", bad, 1, (),
+               "dropped in schema 10")
+    bad = sampled_report()
+    bad["timeline"]["annotation_totals"]["sig_saturation"] = 0
+    expect("dropped sig_saturation annotation kind", bad, 1, (),
+           "whitelist")
 
-    bad = good_v5_report()
-    del bad["options"]["crash_rate"]
-    expect("v5 missing options.crash_rate", bad, 1, (), "crash_rate")
+    # --- Required fields. ---
+    for section, key in (("htm", "crashes_injected"),
+                         ("options", "crash_rate"),
+                         ("options", "sample_interval_ms"),
+                         ("options", "slo"), ("options", "slo_observe"),
+                         ("options", "mem_limit"),
+                         ("options", "alloc_fault_rate"),
+                         ("trace", "requested"), ("op_latency_ns", "validate")):
+        bad = good_report()
+        del bad[section][key]
+        expect(f"missing {section}.{key}", bad, 1, (), key)
 
-    # Zero-overhead guard: injection off but a crash counter is hot.
-    bad = good_v5_report()
-    bad["htm"]["orphans_reaped"] = 1
-    expect("clean run with nonzero orphans_reaped", bad, 1, (),
-           "crash injection off")
+    bad = good_report()
+    del bad["htm"]["aborts_by_code"]["alloc-failed"]
+    expect("missing the alloc-failed abort code", bad, 1, (), "alloc-failed")
 
-    # --expect-crashes on an all-zero report must fail...
-    expect("--expect-crashes on a clean report", good_v5_report(), 1,
-           ["--expect-crashes"], "--expect-crashes")
-    # ...and is meaningless against a v4 report.
-    expect("--expect-crashes on a v4 report", good_v4_report(), 1,
-           ["--expect-crashes"], "v5")
+    bad = good_report()
+    del bad["retry"]["by_cause"]["alloc-failed"]
+    expect("missing the alloc-failed retry cause", bad, 1, (), "alloc-failed")
 
-    # A partially-hot triple is suspicious under --expect-crashes: crashes
-    # happened but no orphan was ever reaped means the reaper never ran.
-    bad = injected_v5_report()
-    bad["htm"]["orphans_reaped"] = 0
-    expect("--expect-crashes with cold orphans_reaped", bad, 1,
-           ["--expect-crashes"], "orphans_reaped")
-
-    # --- v6: signature-validation schema. ---
-    bad = good_v6_report()
-    del bad["options"]["validation"]
-    expect("v6 missing options.validation", bad, 1, (), "validation")
-
-    bad = good_v6_report()
-    bad["options"]["validation"] = "bloom"
-    expect("v6 unknown validation backend", bad, 1, (), "validation")
-
-    bad = good_v6_report()
-    del bad["htm"]["sig_ring_overflows"]
-    expect("v6 missing a sig counter", bad, 1, (), "sig_ring_overflows")
-
-    # Dormancy guard: exact backend but a signature counter is hot.
-    bad = good_v6_report()
-    bad["htm"]["sig_validations"] = 7
-    expect("exact run with nonzero sig_validations", bad, 1, (),
-           "validation is exact")
-
-    bad = good_v6_report()
-    del bad["op_latency_ns"]["validate"]
-    expect("v6 missing the validate op histogram", bad, 1, (), "validate")
-
-    # A v5 report need not carry the v6 fields (back-compat): good_v5_report
-    # already passes above without them.
-
-    # Unrelated invariants must still hold in v5 (regression guard that the
-    # new version didn't loosen the old checks).
-    bad = good_v5_report()
+    bad = good_report()
     bad["htm"]["aborts_by_code"]["conflict"] = 99
     expect("aborts_by_code sum mismatch", bad, 1, (), "sum")
 
-    bad = good_v5_report()
+    bad = good_report()
     bad["rows"] = []
     expect("empty rows", bad, 1, (), "rows")
 
-    # --- v7: continuous-telemetry schema. ---
-    expect("good v7 sampling off", good_v7_report(), 0)
-    expect("good v7 sampled stormy run", sampled_v7_report(), 0)
-    expect("good v7 sampled clean run", clean_sampled_v7_report(), 0)
-    expect("v7 exact --schema match", good_v7_report(), 0, ["--schema", "7"])
-    expect("--schema mismatch", good_v6_report(), 1, ["--schema", "7"],
-           "--schema 7")
-    expect("--expect-storms on a stormy run", sampled_v7_report(), 0,
-           ["--expect-storms"])
-    expect("--expect-storms on a clean run", clean_sampled_v7_report(), 1,
-           ["--expect-storms"], "--expect-storms")
-    expect("--expect-clean-timeline on a clean run",
-           clean_sampled_v7_report(), 0, ["--expect-clean-timeline"])
-    expect("--expect-clean-timeline on a stormy run", sampled_v7_report(), 1,
-           ["--expect-clean-timeline"], "--expect-clean-timeline")
-    expect("--expect-storms on an unsampled run", good_v7_report(), 1,
-           ["--expect-storms"], "sampled run")
-
-    bad = good_v7_report()
-    del bad["options"]["sample_interval_ms"]
-    expect("v7 missing options.sample_interval_ms", bad, 1, (),
-           "sample_interval_ms")
-
-    bad = good_v7_report()
-    del bad["options"]["slo"]
-    expect("v7 missing options.slo", bad, 1, (), "slo")
-
-    bad = good_v7_report()
-    del bad["trace"]["requested"]
-    expect("v7 missing trace.requested", bad, 1, (), "requested")
-
-    bad = good_v7_report()
+    bad = good_report()
     bad["trace"]["enabled"] = True  # requested=False, compiled=False
     expect("trace.enabled inconsistent with requested/compiled", bad, 1, (),
            "enabled")
 
+    # --- Crash dormancy guard and --expect-crashes. ---
+    bad = good_report()
+    bad["htm"]["orphans_reaped"] = 1
+    expect("clean run with nonzero orphans_reaped", bad, 1, (),
+           "crash injection off")
+    expect("--expect-crashes on a clean report", good_report(), 1,
+           ["--expect-crashes"], "--expect-crashes")
+    # A partially-hot triple is suspicious under --expect-crashes: crashes
+    # happened but no orphan was ever reaped means the reaper never ran.
+    bad = crash_injected_report()
+    bad["htm"]["orphans_reaped"] = 0
+    expect("--expect-crashes with cold orphans_reaped", bad, 1,
+           ["--expect-crashes"], "orphans_reaped")
+
+    # --- Timeline. ---
+    expect("--expect-storms on a stormy run", sampled_report(), 0,
+           ["--expect-storms"])
+    expect("--expect-storms on a clean run", clean_sampled_report(), 1,
+           ["--expect-storms"], "--expect-storms")
+    expect("--expect-clean-timeline on a clean run",
+           clean_sampled_report(), 0, ["--expect-clean-timeline"])
+    expect("--expect-clean-timeline on a stormy run", sampled_report(), 1,
+           ["--expect-clean-timeline"], "--expect-clean-timeline")
+    expect("--expect-storms on an unsampled run", good_report(), 1,
+           ["--expect-storms"], "sampled run")
+
     # Zero-overhead guard, both directions: a timeline on an unsampled run
     # and a missing timeline on a sampled run are each an error.
-    bad = good_v7_report()
-    bad["timeline"] = sampled_v7_report()["timeline"]
+    bad = good_report()
+    bad["timeline"] = sampled_report()["timeline"]
     expect("sampling off but timeline present", bad, 1, (),
            "zero-overhead")
 
-    bad = sampled_v7_report()
+    bad = sampled_report()
     del bad["timeline"]
     expect("sampling on but timeline absent", bad, 1, (), "timeline")
 
     # Conservation: window deltas must telescope to the htm counters...
-    bad = sampled_v7_report()
+    bad = sampled_report()
     bad["timeline"]["windows"][1]["commits"] = 499
     expect("window deltas do not decompose htm.commits", bad, 1, (),
            "decompose")
 
     # ...and annotation totals must equal counter minus baseline.
-    bad = sampled_v7_report()
+    bad = sampled_report()
     bad["timeline"]["annotation_totals"]["storm_onset"] = 1
     expect("annotation_totals mismatch", bad, 1, (), "storm_onset")
 
-    bad = sampled_v7_report()
+    bad = sampled_report()
     bad["timeline"]["annotations"][0]["kind"] = "gremlin"
     expect("unknown annotation kind", bad, 1, (), "whitelist")
 
-    bad = sampled_v7_report()
+    bad = sampled_report()
     bad["timeline"]["annotations"][0]["value"] = 1  # sums no longer match
     expect("annotation event values do not sum to totals", bad, 1, (),
            "sum")
 
-    bad = sampled_v7_report()
+    bad = sampled_report()
     ops = bad["timeline"]["windows"][0]["ops"]["update"]
     ops["p99_ns"] = 10.0  # below p90
     expect("window quantiles out of order", bad, 1, (), "out of order")
 
-    bad = sampled_v7_report()
+    bad = sampled_report()
     bad["timeline"]["windows"][0]["ops"]["update"]["count"] = 0
     expect("quiet op not omitted from window", bad, 1, (), "count")
 
-    bad = sampled_v7_report()
+    bad = sampled_report()
     bad["timeline"]["windows"][1]["t_start_ms"] = 12.0
     expect("windows do not tile", bad, 1, (), "tile")
 
-    bad = sampled_v7_report()
+    bad = sampled_report()
     bad["timeline"]["slo"]["violations_total"] = 5
     expect("slo violations_total mismatch", bad, 1, (), "violations_total")
 
-    bad = sampled_v7_report()
+    bad = sampled_report()
     bad["timeline"]["slo"]["targets"][0]["violations"] = 99
     expect("slo violations exceed evaluated windows", bad, 1, (),
            "violations")
 
-    # --- v8: service harness schema. ---
-    expect("good v8 non-service report", good_v8_report(), 0)
-    expect("good v8 sampled non-service report", sampled_v8_report(), 0)
-    expect("good v8 service chaos report", service_v8_report(), 0)
-    expect("v8 exact --schema match", good_v8_report(), 0, ["--schema", "8"])
-    expect("service report with all expect flags", service_v8_report(), 0,
-           ["--expect-service", "--expect-shed", "--expect-chaos"])
+    bad = sampled_report()
+    del bad["timeline"]["slo"]["reattainments"]
+    expect("slo missing reattainments", bad, 1, (), "reattainments")
 
-    bad = good_v8_report()
-    del bad["options"]["slo_observe"]
-    expect("v8 missing options.slo_observe", bad, 1, (), "slo_observe")
+    for kind in ("shed_onset", "mem_pressure_onset"):
+        bad = sampled_report()
+        del bad["timeline"]["annotation_totals"][kind]
+        expect(f"annotation whitelist missing {kind}", bad, 1, (),
+               "whitelist")
 
+    bad = sampled_report()
+    del bad["timeline"]["baseline"]["pool_allocations"]
+    expect("baseline missing a memory counter", bad, 1, (),
+           "pool_allocations")
+
+    bad = sampled_report()
+    bad["timeline"]["windows"][0]["pool_allocations"] = 1
+    expect("timeline pool counters do not telescope to mem", bad, 1, (),
+           "decompose")
+
+    # --- Service. ---
     # Present-iff-service, both directions.
-    bad = good_v8_report()
-    bad["service"] = service_v8_report()["service"]
+    bad = good_report()
+    bad["service"] = service_report()["service"]
     expect("service section on a non-service bench", bad, 1, (), "iff")
 
-    bad = service_v8_report()
+    bad = service_report()
     del bad["service"]
     expect("bench=service without a service section", bad, 1, (), "iff")
 
-    bad = good_v7_report()
-    bad["service"] = service_v8_report()["service"]
-    expect("v7 report with a v8 service section", bad, 1, (), "v8")
-
     # The conservation laws, both halves.
-    bad = service_v8_report()
+    bad = service_report()
     bad["service"]["sessions_shed"] = 9  # silently lost one shed session
     expect("generated != accepted + shed", bad, 1, (), "conservation")
 
-    bad = service_v8_report()
+    bad = service_report()
     bad["service"]["sessions_completed"] = 90  # invented a completion
     expect("accepted != completed + killed", bad, 1, (), "conservation")
 
-    bad = service_v8_report()
+    bad = service_report()
     bad["service"]["sessions_killed"] = 0
     bad["service"]["sessions_completed"] = 90
     expect("worker died but no session killed", bad, 1, (), "death")
 
-    bad = service_v8_report()
+    bad = service_report()
     bad["service"]["worker_respawns"] = 3
     expect("more respawns than deaths", bad, 1, (), "respawns")
 
     # Timeline/service cross-checks: the service counters must telescope
     # to the section totals in a service report...
-    bad = service_v8_report()
+    bad = service_report()
     bad["timeline"]["windows"][1]["sessions_shed"] = 3
     expect("timeline shed does not telescope to service total", bad, 1, (),
            "decompose")
 
     # ...and to exactly zero in a non-service report (dormancy guard).
-    bad = sampled_v8_report()
+    bad = sampled_report()
     bad["timeline"]["windows"][0]["sessions_shed"] = 1
     expect("non-service report ticked sessions_shed", bad, 1, (),
            "decompose")
 
-    bad = sampled_v8_report()
-    del bad["timeline"]["annotation_totals"]["shed_onset"]
-    expect("v8 annotation whitelist missing shed_onset", bad, 1, (),
-           "whitelist")
-
     # The episode ledger.
-    bad = sampled_v8_report()
-    del bad["timeline"]["slo"]["reattainments"]
-    expect("v8 slo missing reattainments", bad, 1, (), "reattainments")
-
-    bad = service_v8_report()
+    bad = service_report()
     bad["timeline"]["slo"]["episodes"][0]["recovered"] = False
     expect("recovered episodes != reattainments", bad, 1, (),
            "reattainments")
 
-    bad = service_v8_report()
+    bad = service_report()
     bad["timeline"]["slo"]["episodes"][0]["violating_windows"] = 0
     expect("episode with zero violating windows", bad, 1, (), "episode")
 
-    # Phase reports: an unapplied phase must be inert, and the applied
-    # count must reconcile with the chaos_phases counter.
-    bad = service_v8_report()
+    # Phase reports: an unapplied phase must be inert, the applied count
+    # must reconcile with the chaos_phases counter, and kinds are a closed
+    # set.
+    bad = service_report()
     bad["service"]["phases"][2]["shed_during"] = 5
     expect("unapplied phase reports activity", bad, 1, (), "unapplied")
 
-    bad = service_v8_report()
+    bad = service_report()
     bad["service"]["chaos_phases"] = 3
     expect("chaos_phases != phases with an onset", bad, 1, (), "onset")
+
+    bad = service_report()
+    bad["service"]["phases"][2]["kind"] = "meteor-strike"
+    expect("unknown chaos phase kind", bad, 1, (), "kind")
 
     # Chaos can legitimately heat fault/crash counters with the rate
     # options at 0 — but only the phase kinds that fired. A kill-free
     # report with hot crash counters is still a leak.
-    bad = service_v8_report()
-    bad["service"]["phases"][1]["onset_ms"] = -1.0
-    bad["service"]["phases"][1]["mttr_ms"] = -1.0
-    bad["service"]["phases"][1]["shed_during"] = 0
-    bad["service"]["phases"][1]["orphans_reaped"] = 0
-    bad["service"]["phases"][1]["reap_latency_ms"] = -1.0
-    bad["service"]["chaos_phases"] = 1
-    bad["service"]["sessions_killed"] = 0
-    bad["service"]["sessions_completed"] = 90
-    bad["service"]["worker_deaths"] = 0
-    bad["service"]["worker_respawns"] = 0
+    bad = service_report()
+    bad["service"]["phases"][1].update(onset_ms=-1.0, mttr_ms=-1.0,
+                                       shed_during=0, orphans_reaped=0,
+                                       reap_latency_ms=-1.0)
+    bad["service"].update(chaos_phases=1, sessions_killed=0,
+                          sessions_completed=90, worker_deaths=0,
+                          worker_respawns=0)
     expect("crash counters hot without an applied kill phase", bad, 1, (),
            "crash injection off")
 
     # The expect flags.
-    bad = service_v8_report()
-    bad["service"]["sessions_shed"] = 0
-    bad["service"]["sessions_accepted"] = 100
-    bad["service"]["sessions_completed"] = 99
+    bad = service_report()
+    bad["service"].update(sessions_shed=0, sessions_accepted=100,
+                          sessions_completed=99)
     for w in bad["timeline"]["windows"]:
         w["sessions_shed"] = 0
     bad["timeline"]["annotation_totals"]["shed_onset"] = 0
@@ -703,139 +563,80 @@ def main():
     expect("--expect-shed on a shed-free run", bad, 1, ["--expect-shed"],
            "--expect-shed")
 
-    bad = service_v8_report()
+    bad = service_report()
     bad["service"]["phases"][1]["mttr_ms"] = -1.0
     expect("--expect-chaos with an unrecovered phase", bad, 1,
            ["--expect-chaos"], "re-attained")
 
-    expect("--expect-service on a non-service v8 report", good_v8_report(),
-           1, ["--expect-service"], "bench_service")
-    expect("--expect-chaos on a v7 report", good_v7_report(), 1,
-           ["--expect-chaos"], "v8")
+    expect("--expect-service on a non-service report", good_report(), 1,
+           ["--expect-service"], "bench_service")
+    expect("--expect-chaos on a non-service report", good_report(), 1,
+           ["--expect-chaos"], "bench_service")
 
-    # --- v9: memory-tier schema. ---
-    expect("good v9 unsampled report", good_v9_report(), 0)
-    expect("good v9 sampled report", sampled_v9_report(), 0)
-    expect("v9 exact --schema match", good_v9_report(), 0, ["--schema", "9"])
-    expect("good v9 service report", service_v9_report(), 0,
-           ["--expect-service"])
-    expect("injected v9 with --expect-alloc-faults", injected_v9_report(), 0,
-           ["--expect-alloc-faults"])
-    expect("squeeze v9 with all expect flags", squeeze_v9_report(), 0,
-           ["--expect-service", "--expect-chaos", "--expect-mem-squeeze"])
-
-    bad = good_v9_report()
-    del bad["options"]["mem_limit"]
-    expect("v9 missing options.mem_limit", bad, 1, (), "mem_limit")
-
-    bad = good_v9_report()
-    del bad["options"]["alloc_fault_rate"]
-    expect("v9 missing options.alloc_fault_rate", bad, 1, (),
-           "alloc_fault_rate")
-
-    # The mem section is present iff v9, on every bench.
-    bad = good_v9_report()
+    # --- Memory. ---
+    bad = good_report()
     del bad["mem"]
-    expect("v9 report without a mem section", bad, 1, (), "mem")
-
-    bad = good_v8_report()
-    bad["mem"] = mem_section()
-    expect("v8 report carrying a v9 mem section", bad, 1, (), "mem section")
-
-    bad = good_v9_report()
-    del bad["htm"]["aborts_by_code"]["alloc-failed"]
-    expect("v9 missing the alloc-failed abort code", bad, 1, (),
-           "alloc-failed")
-
-    bad = good_v9_report()
-    del bad["retry"]["by_cause"]["alloc-failed"]
-    expect("v9 missing the alloc-failed retry cause", bad, 1, (),
-           "alloc-failed")
+    expect("report without a mem section", bad, 1, (), "mem")
 
     # The conservation laws that tie the ledgers together.
-    bad = good_v9_report()
+    bad = good_report()
     bad["mem"]["threads"][0]["allocations"] = 9
     expect("per-thread ledgers do not sum to globals", bad, 1, (),
            "per-thread")
 
-    bad = good_v9_report()
+    bad = good_report()
     bad["mem"]["live_blocks"] = 1
     expect("allocations - deallocations != live_blocks", bad, 1, (),
            "live_blocks")
 
-    bad = injected_v9_report()
+    bad = alloc_injected_report()
     bad["mem"]["alloc_failures"] = 2
     bad["mem"]["threads"][0]["alloc_failures"] = 2
     expect("more injected faults than failures", bad, 1, (), "injected")
 
-    bad = good_v9_report()
+    bad = good_report()
     bad["mem"]["mem_pressure_exits"] = 1
     bad["mem"]["mem_pressure_onsets"] = 0
     expect("more pressure exits than onsets", bad, 1, (), "exits")
 
     # Dormancy guards: clean runs must be provably clean.
-    bad = good_v9_report()
+    bad = good_report()
     bad["mem"]["alloc_failures"] = 1
     bad["mem"]["threads"][0]["alloc_failures"] = 1
     expect("bound off but alloc_failures hot", bad, 1, (), "machinery off")
 
-    bad = good_v9_report()
+    bad = good_report()
     bad["htm"]["aborts_by_code"]["alloc-failed"] = 3
     bad["htm"]["aborts_by_code"]["conflict"] = 0
     expect("bound off but alloc-failed aborts recorded", bad, 1, (),
            "alloc-failed")
 
-    bad = good_v9_report()
+    bad = good_report()
     bad["mem"]["cache_blocks_stranded"] = 2
     bad["mem"]["cache_blocks_reaped"] = 1
     expect("crash injection off but stranded-cache counters hot", bad, 1, (),
            "crash injection off")
 
-    # Timeline cross-checks: every counter block carries the memory nine
-    # and they telescope to the mem section.
-    bad = sampled_v9_report()
-    del bad["timeline"]["baseline"]["pool_allocations"]
-    expect("v9 baseline missing a memory counter", bad, 1, (),
-           "pool_allocations")
-
-    bad = sampled_v9_report()
-    bad["timeline"]["windows"][0]["pool_allocations"] = 1
-    expect("timeline pool counters do not telescope to mem", bad, 1, (),
-           "decompose")
-
-    bad = sampled_v9_report()
-    del bad["timeline"]["annotation_totals"]["mem_pressure_onset"]
-    expect("v9 annotation whitelist missing mem_pressure_onset", bad, 1, (),
-           "whitelist")
-
     # The squeeze fixture's telescoping is load-bearing: break one leg.
-    bad = squeeze_v9_report()
+    bad = squeeze_report()
     bad["timeline"]["windows"][1]["sessions_shed_mem"] = 4
     expect("timeline shed_mem does not telescope to service", bad, 1, (),
            "decompose")
 
-    bad = squeeze_v9_report()
+    bad = squeeze_report()
     bad["service"]["sessions_shed_mem"] = 4
     expect("generated != accepted + shed + shed_mem", bad, 1, (),
            "conservation")
 
-    bad = squeeze_v9_report()
+    bad = squeeze_report()
     bad["service"]["sessions_oom"] = 1
     expect("accepted != completed + killed + oom", bad, 1, (),
            "conservation")
 
-    # A mem-squeeze phase is a v9 concept.
-    bad = service_v8_report()
-    bad["service"]["phases"][2]["kind"] = "mem-squeeze"
-    expect("mem-squeeze phase kind in a v8 report", bad, 1, (), "kind")
-
-    # The expect flags.
-    expect("--expect-alloc-faults on a clean v9 report", good_v9_report(), 1,
+    expect("--expect-alloc-faults on a clean report", good_report(), 1,
            ["--expect-alloc-faults"], "--expect-alloc-faults")
-    expect("--expect-alloc-faults on a v8 report", good_v8_report(), 1,
-           ["--expect-alloc-faults"], "v9")
     expect("--expect-mem-squeeze without a squeeze phase",
-           service_v9_report(), 1, ["--expect-mem-squeeze"],
+           service_report(), 1, ["--expect-mem-squeeze"],
            "--expect-mem-squeeze")
 
     if failures:
