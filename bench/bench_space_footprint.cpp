@@ -17,6 +17,14 @@
 int main(int argc, char** argv) {
   using namespace dc;
   const auto opts = sim::Options::parse(argc, argv);
+  if (!opts.json_path.empty()) {
+    // The space table has no report schema; refuse rather than exit 0
+    // having written nothing.
+    std::fprintf(stderr,
+                 "bench_space_footprint: --json is not supported (this bench "
+                 "prints its table only)\n");
+    return 1;
+  }
   const bench::ObsSession obs_session(opts);
   if (!opts.csv) {
     std::printf(

@@ -16,6 +16,7 @@
 // exactly the latitude the Dynamic Collect spec grants).
 #pragma once
 
+#include <optional>
 #include <type_traits>
 #include <utility>
 
@@ -23,13 +24,10 @@
 #include "htm/clock.hpp"
 #include "htm/config.hpp"
 #include "htm/crash.hpp"
-#include "htm/fault.hpp"
 #include "htm/retry.hpp"
 #include "htm/stats.hpp"
 #include "htm/txn.hpp"
 #include "obs/histogram.hpp"
-#include "obs/retry_stats.hpp"
-#include "obs/trace.hpp"
 #include "util/backoff.hpp"
 #include "util/cycles.hpp"
 #include "util/thread_id.hpp"
@@ -44,21 +42,6 @@ namespace detail {
 uint64_t* tle_lock_word() noexcept;
 void tle_acquire() noexcept;
 void tle_release() noexcept;
-
-// Commit with the obs commit-duration histogram around it (DC_TRACE builds
-// only; otherwise exactly txn.commit()). Only committing attempts record —
-// a validation failure unwinds past the sample.
-inline void commit_timed(Txn& txn) {
-#if defined(DC_TRACE)
-  if (obs::timing_enabled()) {
-    const uint64_t c0 = util::rdcycles();
-    txn.commit();
-    obs::record_op(obs::OpKind::kCommit, util::rdcycles() - c0);
-    return;
-  }
-#endif
-  txn.commit();
-}
 
 }  // namespace detail
 
@@ -148,7 +131,8 @@ inline constexpr uint64_t kPoisonWord = 0xDDDDDDDDDDDDDDDDULL;
 // committing until destruction. The §6 escape hatch for operations that
 // cannot make progress speculatively (e.g. a FastCollect traversal starved
 // by deregister churn): inside the section, shared state may be read with
-// nontxn_load at full fidelity.
+// nontxn_load at full fidelity. It is also the lock every lock-mode attempt
+// of atomic()/try_once() runs under.
 class SerialSection {
  public:
   SerialSection() { detail::tle_acquire(); }
@@ -169,99 +153,87 @@ struct TryResult {
   AbortCode code;  // kNone when committed
 };
 
-// Runs `body` as exactly one transaction attempt (no retry, no TLE).
-// `body` must be void(Txn&). Callers drive their own retry loops, so the
-// fault injector treats each call as a one-attempt block, and a non-TxnAbort
-// exception escaping the body dooms the attempt before propagating.
+namespace detail {
+
+// Runs `body` as one attempt, in the mode the controller hands out, and
+// returns kNone if it committed or the abort code if it did not. This is
+// the only place a block body runs, so it is the one begin and the one
+// abort site of every atomic block (Rock's `chkpt <fail-pc>`, paper §6):
+//   - a lock-mode attempt holds the fallback lock for the attempt only, so
+//     an abort under the lock releases it before the controller's pause;
+//   - a non-TxnAbort exception escaping the body dooms the attempt (orec
+//     locks released, buffered stores discarded, abort hooks run) and
+//     propagates without reaching the controller: no retry;
+//   - a crash::ThreadCrash is a dying thread, not a doomed attempt: it
+//     passes through with no abort ledger, abandoning a held lock.
+// The attempt's Txn is destroyed (abort hooks returning in-txn
+// allocations) before the controller sees the outcome.
 template <class F>
-TryResult try_once(F&& body) {
-  if (config().serialize_all) {
-    // Serial-execution ablation: no speculation, always under the lock.
-    detail::tle_acquire();
-    struct Release {
-      // Abandon (do not release) the lock if the crash injector killed us
-      // inside the section; a survivor steals it.
-      ~Release() {
-        if (!crash::self_dead()) detail::tle_release();
-      }
-    } release;
+AbortCode run_attempt(RetryController& rc, F& body) {
+  const bool lock = rc.use_lock();
+  AbortCode code = AbortCode::kNone;
+  {
+    std::optional<SerialSection> serial;
+    if (lock) serial.emplace();
+    Txn txn(lock);
     try {
-      Txn txn(/*lock_mode=*/true);
-      if (crash::injection_enabled()) [[unlikely]] {
-        crash::heartbeat();
-        const crash::Decision cd = crash::plan(crash::begin_block());
-        if (cd.fire) txn.arm_crash(cd.point, cd.after_ops);
+      rc.begin(txn);
+      // A speculative attempt reads the lock word, so a lock acquisition
+      // anywhere dooms it.
+      if (!lock && txn.load(tle_lock_word()) != 0) {
+        txn.abort(AbortCode::kConflict);
       }
-      local_stats().lock_fallbacks++;
-      obs::trace_tle_fallback(0);
-      try {
-        body(txn);
-      } catch (const TxnAbort&) {
-        throw;
-      } catch (const crash::ThreadCrash&) {
-        throw;  // a dying thread is not a doomed attempt: no abort ledger
-      } catch (...) {
-        txn.doom();
-        throw;
-      }
-      txn.commit();
-      local_stats().commits++;
-      return TryResult{true, AbortCode::kNone};
-    } catch (const TxnAbort& a) {  // explicit or commit abort under the lock
-      local_stats().aborts++;
-      local_stats().aborts_by_code[static_cast<std::size_t>(a.code)]++;
-      obs::record_retry(static_cast<uint8_t>(a.code), 0);
-      return TryResult{false, a.code};
-    }
-  }
-  if (nontxn_load(detail::tle_lock_word()) != 0) {
-    // Behave like a transaction started while the fallback lock is held.
-    local_stats().aborts++;
-    local_stats()
-        .aborts_by_code[static_cast<std::size_t>(AbortCode::kConflict)]++;
-    return TryResult{false, AbortCode::kConflict};
-  }
-  try {
-    Txn txn;
-    if (fault::injection_enabled()) [[unlikely]] {
-      const fault::Decision d = fault::plan(fault::begin_block(), 0);
-      if (d.fire) txn.arm_fault(d.code, d.after_ops);
-    }
-    if (crash::injection_enabled()) [[unlikely]] {
-      crash::heartbeat();
-      crash::Decision cd = crash::plan(crash::begin_block());
-      if (cd.fire) {
-        // try_once never escalates to the fallback lock, so a kLockHeld
-        // plan degenerates to a commit-entry death of this attempt.
-        if (cd.point == crash::Point::kLockHeld) {
-          cd.point = crash::Point::kCommitEntry;
-          cd.after_ops = ~0u;
-        }
-        txn.arm_crash(cd.point, cd.after_ops);
-      }
-    }
-    if (txn.load(detail::tle_lock_word()) != 0) {
-      txn.abort(AbortCode::kConflict);
-    }
-    try {
       body(txn);
-    } catch (const TxnAbort&) {
-      throw;
+#if defined(DC_TRACE)
+      // Commit-duration histogram: committing speculative attempts only (a
+      // validation failure unwinds past the sample).
+      const uint64_t c0 = util::rdcycles();
+      txn.commit();
+      if (!lock && obs::timing_enabled()) {
+        obs::record_op(obs::OpKind::kCommit, util::rdcycles() - c0);
+      }
+#else
+      txn.commit();
+#endif
+    } catch (const TxnAbort& a) {
+      code = a.code;
     } catch (const crash::ThreadCrash&) {
-      throw;  // a dying thread is not a doomed attempt: no abort ledger
+      throw;
     } catch (...) {
       txn.doom();
       throw;
     }
-    detail::commit_timed(txn);
-    local_stats().commits++;
-    return TryResult{true, AbortCode::kNone};
-  } catch (const TxnAbort& a) {
-    local_stats().aborts++;
-    local_stats().aborts_by_code[static_cast<std::size_t>(a.code)]++;
-    obs::record_retry(static_cast<uint8_t>(a.code), 0);
-    return TryResult{false, a.code};
   }
+  if (code == AbortCode::kNone) {
+    rc.on_commit();
+  } else {
+    rc.on_abort(code);
+  }
+  return code;
+}
+
+}  // namespace detail
+
+// Runs `body` as exactly one transaction attempt (no retry, no TLE).
+// `body` must be void(Txn&). Callers drive their own retry loops, so the
+// fault injector treats each call as a one-attempt block, and a non-TxnAbort
+// exception escaping the body dooms the attempt before propagating. Under
+// Config::serialize_all the attempt runs under the fallback lock.
+template <class F>
+TryResult try_once(F&& body) {
+  const Config& cfg = config();
+  if (!cfg.serialize_all && nontxn_load(detail::tle_lock_word()) != 0) {
+    // The fallback lock is held: a transaction begun now would abort at
+    // its read of the lock word. Report that without beginning one (and
+    // without drawing this block's injection plans).
+    TxnStats& st = local_stats();
+    st.aborts++;
+    st.aborts_by_code[static_cast<std::size_t>(AbortCode::kConflict)]++;
+    return TryResult{false, AbortCode::kConflict};
+  }
+  detail::RetryController rc(cfg, nullptr);
+  const AbortCode code = detail::run_attempt(rc, body);
+  return TryResult{code == AbortCode::kNone, code};
 }
 
 // Runs `body` atomically, retrying until it commits. How each failed
@@ -283,117 +255,17 @@ decltype(auto) atomic(F&& body) {
   // One storm state per call-site: each distinct body lambda instantiates
   // its own copy of this template, so the static is per-source-location.
   static detail::StormState storm;
-  detail::RetryController rc(config(), storm);
-  for (;;) {
-    if (rc.use_lock()) {
-      struct TleGuard {
-        TleGuard() { detail::tle_acquire(); }
-        // A crash inside the section abandons the lock for a survivor to
-        // steal; releasing a stamp that is no longer ours would be wrong.
-        ~TleGuard() {
-          if (!crash::self_dead()) detail::tle_release();
-        }
-      };
-      try {
-        TleGuard guard;
-        Txn txn(/*lock_mode=*/true);
-        rc.arm_crash(txn);  // a kLockHeld plan dies right here, lock held
-        local_stats().lock_fallbacks++;
-        obs::trace_tle_fallback(rc.attempt());
-#if defined(DC_TRACE)
-        txn.set_trace_attempt(rc.attempt());
-#endif
-        if constexpr (std::is_void_v<Result>) {
-          try {
-            body(txn);
-          } catch (const TxnAbort&) {
-            throw;
-          } catch (const crash::ThreadCrash&) {
-            throw;  // dying thread, not a doomed attempt: no abort ledger
-          } catch (...) {
-            txn.doom();
-            throw;
-          }
-          txn.commit();
-          local_stats().commits++;
-          rc.on_commit();
-          return;
-        } else {
-          Result r = [&]() -> Result {
-            try {
-              return body(txn);
-            } catch (const TxnAbort&) {
-              throw;
-            } catch (const crash::ThreadCrash&) {
-              throw;
-            } catch (...) {
-              txn.doom();
-              throw;
-            }
-          }();
-          txn.commit();
-          local_stats().commits++;
-          rc.on_commit();
-          return r;
-        }
-      } catch (const TxnAbort& a) {
-        // An explicit abort under the lock, or a commit whose reads a
-        // strong-atomicity store changed: release, pause, retry (the block
-        // stays in lock mode — escalation is sticky).
-        local_stats().aborts++;
-        local_stats().aborts_by_code[static_cast<std::size_t>(a.code)]++;
-        rc.on_lock_abort(a.code);
-        continue;
-      }
+  detail::RetryController rc(config(), &storm);
+  if constexpr (std::is_void_v<Result>) {
+    while (detail::run_attempt(rc, body) != AbortCode::kNone) {
     }
-    try {
-      Txn txn;
-#if defined(DC_TRACE)
-      txn.set_trace_attempt(rc.attempt());
-#endif
-      rc.arm_fault(txn);
-      rc.arm_crash(txn);
-      if (txn.load(detail::tle_lock_word()) != 0) {
-        txn.abort(AbortCode::kConflict);
-      }
-      if constexpr (std::is_void_v<Result>) {
-        try {
-          body(txn);
-        } catch (const TxnAbort&) {
-          throw;
-        } catch (const crash::ThreadCrash&) {
-          throw;  // dying thread, not a doomed attempt: no abort ledger
-        } catch (...) {
-          txn.doom();
-          throw;
-        }
-        detail::commit_timed(txn);
-        local_stats().commits++;
-        rc.on_commit();
-        return;
-      } else {
-        Result r = [&]() -> Result {
-          try {
-            return body(txn);
-          } catch (const TxnAbort&) {
-            throw;
-          } catch (const crash::ThreadCrash&) {
-            throw;
-          } catch (...) {
-            txn.doom();
-            throw;
-          }
-        }();
-        detail::commit_timed(txn);
-        local_stats().commits++;
-        rc.on_commit();
-        return r;
-      }
-    } catch (const TxnAbort& a) {
-      local_stats().aborts++;
-      local_stats().aborts_by_code[static_cast<std::size_t>(a.code)]++;
-      rc.on_abort(a.code);
+  } else {
+    // Every attempt refills the slot; the committed one's value is returned.
+    std::optional<Result> result;
+    auto fill = [&](Txn& txn) { result.emplace(body(txn)); };
+    while (detail::run_attempt(rc, fill) != AbortCode::kNone) {
     }
+    return Result(std::move(*result));
   }
 }
 

@@ -149,28 +149,39 @@ class StormState {
   std::atomic<bool> serialized_{false};
 };
 
-// Drives one atomic block's retry sequence. Constructed per atomic() call;
-// snapshots the config and the fault-injection switch once so the loop's
-// per-attempt cost is a handful of predictable branches.
+// Drives one atomic block's attempts: it decides each attempt's mode
+// (speculative or under the fallback lock), arms it, and owns the block's
+// abort and commit accounting. Constructed per atomic() call; snapshots the
+// config and the fault-injection switch once so the loop's per-attempt cost
+// is a handful of predictable branches. try_once() uses it one-shot (no
+// storm state): the mode decision, arming and accounting are the same, but
+// the caller drives the retry.
 class RetryController {
  public:
-  RetryController(const Config& cfg, StormState& storm) noexcept
+  RetryController(const Config& cfg, StormState* storm) noexcept
       : cfg_(cfg),
         storm_(storm),
         backoff_(4, 2048),
         fault_on_(fault::injection_enabled()),
         block_(fault_on_ ? fault::begin_block() : 0),
-        storm_on_(cfg.storm_detection && cfg.tle_after_aborts != 0 &&
-                  !cfg.serialize_all) {
+        one_shot_(storm == nullptr),
+        storm_on_(!one_shot_ && cfg.storm_detection &&
+                  cfg.tle_after_aborts != 0 && !cfg.serialize_all) {
     if (crash::injection_enabled()) [[unlikely]] {
       crash::heartbeat();  // liveness signal for lock-recovery waiters
       crash_plan_ = crash::plan(crash::begin_block());
+      // A one-shot attempt never escalates to the fallback lock, so a
+      // kLockHeld plan degenerates to a commit-entry death of the attempt.
+      if (one_shot_ && !cfg.serialize_all &&
+          crash_plan_.point == crash::Point::kLockHeld) {
+        crash_plan_.point = crash::Point::kCommitEntry;
+        crash_plan_.after_ops = ~0u;
+      }
     }
   }
 
-  uint32_t attempt() const noexcept { return attempt_; }
-
-  // True when the next attempt must run under the fallback lock. Counts the
+  // Decides the next attempt's mode: true when it must run under the
+  // fallback lock — from the first attempt under serialize_all. Counts the
   // block's tle_entries the first time an *escalation* (not serialize_all)
   // reaches the lock.
   bool use_lock() noexcept {
@@ -178,44 +189,62 @@ class RetryController {
     // thread deterministically dies while holding it.
     const bool force_lock =
         crash_plan_.fire && crash_plan_.point == crash::Point::kLockHeld;
-    const bool lock = cfg_.serialize_all || escalated_ || force_lock ||
-                      (storm_on_ && storm_.serialized());
-    if (lock && !cfg_.serialize_all && !counted_entry_) {
+    lock_ = cfg_.serialize_all || escalated_ || force_lock ||
+            (storm_on_ && storm_->serialized());
+    if (lock_ && !cfg_.serialize_all && !counted_entry_) {
       counted_entry_ = true;
       local_stats().tle_entries++;
     }
-    return lock;
+    return lock_;
   }
 
-  // Arms `txn` with this attempt's planned fault, if injection decides so.
-  void arm_fault(Txn& txn) noexcept {
-    if (fault_on_) [[unlikely]] {
+  // Prepares the attempt use_lock() just decided: counts a lock-mode
+  // attempt, arms a speculative attempt's planned fault, and arms the
+  // block's planned crash on either mode — unlike faults, a crash can
+  // strike a TLE holder (that case is the recoverable lock's whole reason
+  // to exist).
+  void begin(Txn& txn) noexcept {
+#if defined(DC_TRACE)
+    txn.set_trace_attempt(attempt_);
+#endif
+    if (lock_) {
+      local_stats().lock_fallbacks++;
+      obs::trace_tle_fallback(attempt_);
+    } else if (fault_on_) [[unlikely]] {
       const fault::Decision d = fault::plan(block_, attempt_);
       if (d.fire) txn.arm_fault(d.code, d.after_ops);
     }
-  }
-
-  // Arms `txn` with this block's planned crash, if any. Called on both the
-  // speculative and lock-mode paths: unlike faults, a crash can strike a
-  // TLE holder (that case is the recoverable lock's whole reason to exist).
-  void arm_crash(Txn& txn) noexcept {
     if (crash_plan_.fire) [[unlikely]] {
       txn.arm_crash(crash_plan_.point, crash_plan_.after_ops);
     }
   }
 
-  // A speculative attempt aborted with `code`. Throws TxnOutOfMemory (and
-  // only that) when a kAllocFailed streak exhausts its reclamation-wait
-  // budget — the one exit from the retry loop that is not a commit.
+  // The attempt aborted with `code` (a lock-mode one has already released
+  // the lock). Counts the abort, then — unless one-shot — decides how the
+  // block goes on. Throws TxnOutOfMemory (and only that) when a kAllocFailed
+  // streak exhausts its reclamation-wait budget — the one exit from the
+  // retry loop that is not a commit.
   void on_abort(AbortCode code) {
+    TxnStats& st = local_stats();
+    st.aborts++;
+    st.aborts_by_code[static_cast<std::size_t>(code)]++;
     obs::record_retry(static_cast<uint8_t>(code), attempt_);
     ++attempt_;
+    if (one_shot_) return;
     if (code == AbortCode::kAllocFailed) {
+      // In either mode: the lock cannot conjure memory.
       on_alloc_failed();
       return;
     }
+    if (lock_) {
+      // An explicit abort under the lock, or a commit whose reads a
+      // strong-atomicity store changed: pause, then retry — still under
+      // the lock, since escalation is sticky.
+      backoff_.pause();
+      return;
+    }
     if (code == AbortCode::kConflict && storm_on_) {
-      storm_.note_abort(cfg_.storm_enter_score);
+      storm_->note_abort(cfg_.storm_enter_score);
     }
     const bool tle = cfg_.tle_after_aborts != 0;
     if (is_spurious(code)) {
@@ -236,28 +265,15 @@ class RetryController {
     backoff_.pause();
   }
 
-  // An attempt under the lock aborted (an explicit abort, or a commit whose
-  // reads a strong-atomicity store changed); the block stays in lock mode and retries after a pause. Allocation can fail
-  // under the lock too (the lock cannot conjure memory), so kAllocFailed
-  // takes the same bounded-wait/escalate path as in speculative mode.
-  void on_lock_abort(AbortCode code) {
-    obs::record_retry(static_cast<uint8_t>(code), attempt_);
-    ++attempt_;
-    if (code == AbortCode::kAllocFailed) {
-      on_alloc_failed();
-      return;
-    }
-    backoff_.pause();
-  }
-
-  // The block committed (either mode). Updates the storm score, the
-  // starvation high-water mark, and re-arms the backoff window (satellite
-  // contract: one contended episode must not tax the caller's next block —
+  // The block committed (either mode). Counts the commit, updates the storm
+  // score and the starvation high-water mark, and re-arms the backoff
+  // window (one contended episode must not tax the caller's next block —
   // collect algorithms reuse long-lived Backoffs the same way).
   void on_commit() noexcept {
-    if (storm_on_) storm_.note_commit(cfg_.storm_exit_score);
+    TxnStats& st = local_stats();
+    st.commits++;
+    if (storm_on_) storm_->note_commit(cfg_.storm_exit_score);
     if (attempt_ != 0) {
-      TxnStats& st = local_stats();
       if (attempt_ > st.max_consec_aborts) st.max_consec_aborts = attempt_;
       backoff_.reset();
     }
@@ -279,13 +295,15 @@ class RetryController {
   }
 
   const Config& cfg_;
-  StormState& storm_;
+  StormState* const storm_;  // nullptr when one-shot
   util::Backoff backoff_;
   uint32_t attempt_ = 0;
   const bool fault_on_;
   const uint64_t block_;
+  const bool one_shot_;
   const bool storm_on_;
   crash::Decision crash_plan_{};
+  bool lock_ = false;  // the mode use_lock() last handed out
   bool escalated_ = false;
   bool counted_entry_ = false;
   uint64_t reclaim_snapshot_ = 0;

@@ -64,10 +64,12 @@ struct TxnStats {
   // in aborts/aborts_by_code too; kept separately so "injection off" is a
   // checkable invariant (faults_injected must be 0).
   Counter faults_injected = 0;
-  // Atomic blocks that escalated from speculation to the TLE lock (counted
-  // once per block, at the first lock-mode attempt; serialize_all blocks —
-  // which never intended to speculate — do not count). lock_fallbacks, by
-  // contrast, counts lock-mode *attempts* including serialize_all.
+  // Atomic blocks the retry controller escalated to the TLE lock (retry
+  // backstop, overflow, storm mode or a kLockHeld crash plan), counted once
+  // per block at its first lock-mode attempt. serialize_all blocks — which
+  // never intended to speculate — and try_once attempts do not count.
+  // lock_fallbacks, by contrast, counts lock-mode *attempts*, committed or
+  // not, serialize_all ones included.
   Counter tle_entries = 0;
   // Abort-storm detector transitions (htm/retry.hpp): call-sites entering /
   // leaving the sticky serialized mode.

@@ -92,13 +92,18 @@ TEST(FastCollectDefer, EagerModeDoesRestartUnderChurn) {
   FastCollectList list(false);
   std::vector<Handle> stable;
   for (Value v = 100; v < 132; ++v) stable.push_back(list.register_handle(v));
-  // The churner must be finite: under *sustained* churn an eager-mode
-  // Collect legitimately never completes ("Collects can be prevented from
-  // making any progress by concurrent DeRegisters", §3.1.2) — which is the
-  // very progress problem the deferred variant exists to solve.
+  // The churner stops at the first restart: under *sustained* churn an
+  // eager-mode Collect legitimately never completes ("Collects can be
+  // prevented from making any progress by concurrent DeRegisters",
+  // §3.1.2) — which is the very progress problem the deferred variant
+  // exists to solve. A fixed churn count instead could end before any
+  // Collect overlapped it (a loaded host can deschedule the collector
+  // throughout), leaving the loop below nothing to observe. `stop` is
+  // only the hang guard for the Collect loop's bound.
+  std::atomic<bool> stop{false};
   std::thread churner([&] {
     Value v = 1000;
-    for (int i = 0; i < 5000; ++i) {
+    while (list.restarts() == 0 && !stop.load(std::memory_order_relaxed)) {
       Handle h = list.register_handle(v++);
       list.deregister(h);
     }
@@ -106,6 +111,7 @@ TEST(FastCollectDefer, EagerModeDoesRestartUnderChurn) {
   list.set_step_size(8);  // several transactions per collect
   std::vector<Value> out;
   for (int i = 0; i < 100000 && list.restarts() == 0; ++i) list.collect(out);
+  stop.store(true);
   churner.join();
   EXPECT_GT(list.restarts(), 0u);
   for (Handle h : stable) list.deregister(h);

@@ -69,17 +69,30 @@ TEST_F(UserException, LockModeUnwindReleasesTheFallbackLock) {
 }
 
 TEST_F(UserException, TryOncePropagatesAndDooms) {
-  uint64_t word = 0;
-  EXPECT_THROW(try_once([&](Txn& txn) {
-                 txn.store(&word, uint64_t{1});
-                 throw std::logic_error("boom");
-               }),
-               std::logic_error);
-  EXPECT_EQ(word, 0u);
-  const TryResult r =
-      try_once([&](Txn& txn) { txn.store(&word, uint64_t{3}); });
-  EXPECT_TRUE(r.committed);
-  EXPECT_EQ(word, 3u);
+  // Speculative, then under serialize_all, where the controller hands the
+  // one attempt the fallback lock.
+  for (const bool serialize : {false, true}) {
+    SCOPED_TRACE(serialize ? "serialize_all" : "speculative");
+    config().serialize_all = serialize;
+    uint64_t word = 0;
+    EXPECT_THROW(try_once([&](Txn& txn) {
+                   txn.store(&word, uint64_t{1});
+                   throw std::logic_error("boom");
+                 }),
+                 std::logic_error);
+    EXPECT_EQ(word, 0u);
+    EXPECT_EQ(nontxn_load(detail::tle_lock_word()), 0u)
+        << "the user exception must leave the fallback lock free";
+    const uint64_t fallbacks = aggregate_stats().lock_fallbacks;
+    const TryResult r =
+        try_once([&](Txn& txn) { txn.store(&word, uint64_t{3}); });
+    EXPECT_TRUE(r.committed);
+    EXPECT_EQ(word, 3u);
+    EXPECT_EQ(aggregate_stats().lock_fallbacks - fallbacks, serialize ? 1u : 0u)
+        << "the commit runs under the lock exactly when serialize_all is set";
+    EXPECT_EQ(aggregate_stats().tle_entries, 0u)
+        << "serialize_all is not an escalation";
+  }
 }
 
 TEST_F(UserException, TxnAbortIsNotTreatedAsUserError) {
